@@ -9,7 +9,7 @@ use ccs_constraints::{AttributeTable, Constraint, ConstraintSet};
 use ccs_core::{
     run_bms, Algorithm, CorrelationQuery, CountingStrategy, MineRequest, MiningSession,
 };
-use ccs_itemset::{HorizontalCounter, ParallelCounter, VerticalCounter};
+use ccs_itemset::{HorizontalCounter, VerticalCounter};
 
 const N_ITEMS: u32 = 30;
 const N_BASKETS: usize = 1_000;
@@ -36,12 +36,10 @@ fn bench_algorithms(c: &mut Criterion) {
                 &algo,
                 |b, &a| {
                     b.iter(|| {
-                        MiningSession::new(black_box(&db), &attrs)
-                            .mine(
-                                &query(cs.clone()),
-                                &MineRequest::new(a).strategy(CountingStrategy::Horizontal),
-                            )
-                            .unwrap()
+                        MiningSession::new(black_box(&db), &attrs).mine(
+                            &query(cs.clone()),
+                            &MineRequest::new(a).strategy(CountingStrategy::Horizontal),
+                        )
                     })
                 },
             );
@@ -54,12 +52,10 @@ fn bench_algorithms(c: &mut Criterion) {
                 &algo,
                 |b, &a| {
                     b.iter(|| {
-                        MiningSession::new(black_box(&db), &attrs)
-                            .mine(
-                                &query(cs_m.clone()),
-                                &MineRequest::new(a).strategy(CountingStrategy::Horizontal),
-                            )
-                            .unwrap()
+                        MiningSession::new(black_box(&db), &attrs).mine(
+                            &query(cs_m.clone()),
+                            &MineRequest::new(a).strategy(CountingStrategy::Horizontal),
+                        )
                     })
                 },
             );
@@ -80,12 +76,10 @@ fn bench_counting_ablation(c: &mut Criterion) {
     ] {
         group.bench_function(name, |b| {
             b.iter(|| {
-                MiningSession::new(black_box(&db), &attrs)
-                    .mine(
-                        &query(cs.clone()),
-                        &MineRequest::new(Algorithm::BmsPlusPlus).strategy(strategy),
-                    )
-                    .unwrap()
+                MiningSession::new(black_box(&db), &attrs).mine(
+                    &query(cs.clone()),
+                    &MineRequest::new(Algorithm::BmsPlusPlus).strategy(strategy),
+                )
             })
         });
     }
@@ -108,12 +102,6 @@ fn bench_bms_strategies(c: &mut Criterion) {
     group.bench_function("vertical", |b| {
         b.iter(|| {
             let mut counter = VerticalCounter::new(black_box(&db));
-            run_bms(&db, &params, &mut counter)
-        })
-    });
-    group.bench_function("parallel", |b| {
-        b.iter(|| {
-            let mut counter = ParallelCounter::with_available_parallelism(black_box(&db));
             run_bms(&db, &params, &mut counter)
         })
     });

@@ -7,10 +7,7 @@ use std::collections::HashSet;
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use ccs_bench::DataMethod;
-use ccs_itemset::{
-    candidate, HorizontalCounter, Itemset, MintermCounter, ParallelCounter, ParallelVerticalIndex,
-    TidSet, VerticalCounter, WorkerPool,
-};
+use ccs_itemset::{candidate, HorizontalCounter, Itemset, MintermCounter, TidSet, VerticalCounter};
 use ccs_stats::{chi2_quantile, ContingencyTable};
 
 /// A dense miner level: all `k`-subsets of consecutive `pool`-item
@@ -103,49 +100,6 @@ fn bench_counting_batch(c: &mut Criterion) {
     group.bench_function("vertical_batch", |bench| {
         bench.iter(|| black_box(vertical.minterm_counts_batch(black_box(&level))))
     });
-    let mut parallel = ParallelCounter::with_available_parallelism(&db);
-    group.bench_function("parallel_batch", |bench| {
-        bench.iter(|| black_box(parallel.minterm_counts_batch(black_box(&level))))
-    });
-    let mut vertical_par = ParallelVerticalIndex::build(&db);
-    vertical_par.set_work_floor(0); // measure the pooled path
-    group.bench_function("vertical_par_batch", |bench| {
-        bench.iter(|| black_box(vertical_par.minterm_counts_batch(black_box(&level))))
-    });
-    group.finish();
-}
-
-/// The pool's fixed dispatch cost, isolated from counting work: an
-/// empty-class batch (every candidate is a 0/1-item set answered inline
-/// by the planner, so the pool is never engaged) against a same-size
-/// batch of pairs with the work floor zeroed (every class fans out).
-/// The gap is what one `run`-style fan-out costs end to end — the
-/// number the `POOL_WORK_FLOOR` guard exists to amortise.
-fn bench_pool_dispatch(c: &mut Criterion) {
-    let db = DataMethod::Quest.generate(60, 1_000, 7);
-    let mut group = c.benchmark_group("pool/dispatch_overhead");
-    let trivial: Vec<Itemset> = (0..32u32).map(|i| Itemset::from_ids([i % 60])).collect();
-    let pairs: Vec<Itemset> = (0..32u32)
-        .map(|i| Itemset::from_ids([i % 59, i % 59 + 1]))
-        .collect();
-    let mut index = ParallelVerticalIndex::build(&db);
-    index.set_work_floor(0);
-    group.bench_function("trivial_classes_inline", |bench| {
-        bench.iter(|| black_box(index.minterm_counts_batch(black_box(&trivial))))
-    });
-    group.bench_function("pair_classes_pooled", |bench| {
-        bench.iter(|| black_box(index.minterm_counts_batch(black_box(&pairs))))
-    });
-    // The raw pool round-trip with no counting at all: a batch of
-    // no-op jobs, one per worker.
-    let pool = WorkerPool::global();
-    let width = pool.n_workers().max(1);
-    group.bench_function("empty_job_round_trip", |bench| {
-        bench.iter(|| {
-            let jobs: Vec<_> = (0..width).map(|i| move || black_box(i)).collect();
-            black_box(pool.run_batch(jobs))
-        })
-    });
     group.finish();
 }
 
@@ -187,7 +141,6 @@ criterion_group!(
     bench_tidset,
     bench_counting,
     bench_counting_batch,
-    bench_pool_dispatch,
     bench_stats,
     bench_candidates
 );

@@ -18,6 +18,10 @@ use ccs_constraints::selectivity::threshold_for_le_selectivity;
 use ccs_constraints::{AttributeTable, Constraint, ConstraintSet};
 use ccs_core::Algorithm;
 
+/// A constraint class: its label, and the constraint set it yields at a
+/// given selectivity.
+type ConstraintClass = (&'static str, Box<dyn Fn(f64) -> ConstraintSet>);
+
 fn main() {
     let args = HarnessArgs::parse();
     let n_items = args.scale.n_items;
@@ -25,10 +29,9 @@ fn main() {
     let attrs = AttributeTable::with_identity_prices(n_items);
     let db = DataMethod::Rules.generate(n_items, baskets, args.seed);
 
-    let classes: Vec<(&str, f64, Box<dyn Fn(f64) -> ConstraintSet>)> = vec![
+    let classes: Vec<ConstraintClass> = vec![
         (
             "anti-monotone + succinct: max(price) <= v",
-            0.0,
             Box::new({
                 let attrs = attrs.clone();
                 move |sel| {
@@ -39,14 +42,12 @@ fn main() {
         ),
         (
             "anti-monotone: sum(price) <= maxsum",
-            0.0,
             Box::new(move |sel| {
                 ConstraintSet::new().and(Constraint::sum_le("price", sel * 2.0 * n_items as f64))
             }),
         ),
         (
             "monotone + succinct: min(price) <= v",
-            0.0,
             Box::new({
                 let attrs = attrs.clone();
                 move |sel| {
@@ -58,7 +59,7 @@ fn main() {
     ];
 
     println!("cost-model validation on rule-planted data ({n_items} items, {baskets} baskets)\n");
-    for (label, _, make) in &classes {
+    for (label, make) in &classes {
         println!("constraint class: {label}");
         println!(
             "{:>11} {:>10} {:>10} {:>10} {:>10}",

@@ -1,8 +1,9 @@
 //! Regenerates every evaluation figure of the paper in sequence.
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let args = ccs_bench::HarnessArgs::parse();
     for fig in ccs_bench::figures::Figure::ALL {
-        fig.run_and_save(&args);
+        fig.run_and_save(&args)?;
     }
+    Ok(())
 }

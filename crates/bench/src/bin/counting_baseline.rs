@@ -12,6 +12,7 @@
 //! cargo run --release -p ccs-bench --bin counting_baseline [-- --out <dir>]
 //! ```
 
+use std::error::Error;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -20,12 +21,10 @@ use ccs_bench::DataMethod;
 use ccs_constraints::{AttributeTable, Constraint, ConstraintSet};
 use ccs_core::{
     Algorithm, CheckpointCadence, CheckpointPolicy, CorrelationQuery, CountingStrategy,
-    GuardLimits, MineRequest, MiningParams, MiningSession, RunGuard,
+    GuardLimits, MineRequest, MiningError, MiningParams, MiningSession, RunGuard,
 };
 use ccs_itemset::{
-    FpTreeCounter, HorizontalCounter, Itemset, MintermCounter, ParallelCounter,
-    ParallelVerticalCounter, ParallelVerticalIndex, ShardedVerticalCounter, ShardedVerticalIndex,
-    TransactionDb, VerticalCounter,
+    FpTreeCounter, HorizontalCounter, Itemset, MintermCounter, TransactionDb, VerticalCounter,
 };
 use ccs_stats::{chi2_quantile, ContingencyTable, Measure, MeasureContext};
 
@@ -152,38 +151,35 @@ fn time_mine(
     attrs: &AttributeTable,
     query: &CorrelationQuery,
     ckpt_path: Option<&Path>,
-) -> OverheadPoint {
-    let run = || {
+) -> Result<OverheadPoint, MiningError> {
+    let run = || -> Result<(u64, u64), MiningError> {
         let mut request =
             MineRequest::new(Algorithm::BmsPlusPlus).guard(RunGuard::new(GuardLimits::default()));
         if let Some(path) = ckpt_path {
             request =
                 request.checkpoint(CheckpointPolicy::file(path, CheckpointCadence::EveryLevel));
         }
-        let outcome = MiningSession::new(db, attrs)
-            .mine(query, &request)
-            .expect("benchmark mine");
+        let outcome = MiningSession::new(db, attrs).mine(query, &request)?;
         assert!(outcome.result.completion.is_complete());
         let stamps = outcome.checkpoint.map_or(0, |r| {
             assert!(r.error.is_none(), "checkpoint write failed: {:?}", r.error);
             r.written
         });
-        (outcome.result.metrics.candidates_generated, stamps)
+        Ok((outcome.result.metrics.candidates_generated, stamps))
     };
-    let (candidates, stamps_per_run) = run(); // warm-up (page cache, pool)
-    let mut secs: Vec<f64> = (0..REPS)
-        .map(|_| {
-            let t0 = Instant::now();
-            std::hint::black_box(run());
-            t0.elapsed().as_secs_f64()
-        })
-        .collect();
+    let (candidates, stamps_per_run) = run()?; // warm-up (page cache)
+    let mut secs = Vec::with_capacity(REPS);
+    for _ in 0..REPS {
+        let t0 = Instant::now();
+        std::hint::black_box(run()?);
+        secs.push(t0.elapsed().as_secs_f64());
+    }
     secs.sort_unstable_by(f64::total_cmp);
-    OverheadPoint {
+    Ok(OverheadPoint {
         seconds: secs[REPS / 2],
         candidates,
         stamps_per_run,
-    }
+    })
 }
 
 /// How many sweeps over the prebuilt tables one verdict timing sample
@@ -225,6 +221,13 @@ struct Row {
 }
 
 impl Row {
+    /// The row called `name` in `rows`.
+    fn find<'a>(rows: &'a [Row], name: &str) -> Result<&'a Row, String> {
+        rows.iter()
+            .find(|r| r.name == name)
+            .ok_or_else(|| format!("no {name} row"))
+    }
+
     fn candidates_per_sec(&self) -> f64 {
         self.candidates as f64 / self.seconds
     }
@@ -234,12 +237,12 @@ impl Row {
     }
 }
 
-fn main() {
+fn main() -> Result<(), Box<dyn Error>> {
     let mut out_dir = PathBuf::from("results");
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         if arg == "--out" {
-            out_dir = PathBuf::from(args.next().expect("--out needs a directory"));
+            out_dir = PathBuf::from(args.next().ok_or("--out needs a directory")?);
         }
     }
 
@@ -292,57 +295,6 @@ fn main() {
         });
     }
     {
-        let mut c = ParallelCounter::with_available_parallelism(&db);
-        let (s, t) = time_level(&mut c, &level, |c, l| single(c, l));
-        rows.push(Row {
-            name: "parallel/per_candidate",
-            seconds: s,
-            tables_per_pass: t,
-            candidates: N_CANDIDATES,
-        });
-        let (s, t) = time_level(&mut c, &level, |c, l| batch(c, l));
-        rows.push(Row {
-            name: "parallel/batch",
-            seconds: s,
-            tables_per_pass: t,
-            candidates: N_CANDIDATES,
-        });
-    }
-    {
-        let mut c = ParallelVerticalCounter::new(&db);
-        let (s, t) = time_level(&mut c, &level, |c, l| single(c, l));
-        rows.push(Row {
-            name: "vertical_par/per_candidate",
-            seconds: s,
-            tables_per_pass: t,
-            candidates: N_CANDIDATES,
-        });
-        let (s, t) = time_level(&mut c, &level, |c, l| batch(c, l));
-        rows.push(Row {
-            name: "vertical_par/batch",
-            seconds: s,
-            tables_per_pass: t,
-            candidates: N_CANDIDATES,
-        });
-    }
-    {
-        let mut c = ShardedVerticalCounter::new(&db);
-        let (s, t) = time_level(&mut c, &level, |c, l| single(c, l));
-        rows.push(Row {
-            name: "sharded/per_candidate",
-            seconds: s,
-            tables_per_pass: t,
-            candidates: N_CANDIDATES,
-        });
-        let (s, t) = time_level(&mut c, &level, |c, l| batch(c, l));
-        rows.push(Row {
-            name: "sharded/batch",
-            seconds: s,
-            tables_per_pass: t,
-            candidates: N_CANDIDATES,
-        });
-    }
-    {
         let mut c = FpTreeCounter::new(&db);
         let (s, t) = time_level(&mut c, &level, |c, l| single(c, l));
         rows.push(Row {
@@ -360,62 +312,7 @@ fn main() {
         });
     }
 
-    // Pool thread-scaling of the parallel-vertical batch path. On a
-    // single-core host every worker count serialises onto one CPU, so
-    // the curve is flat there — `available_parallelism` is recorded in
-    // the JSON so readers can tell a flat machine from a flat algorithm.
-    struct ScalePoint {
-        workers: usize,
-        seconds: f64,
-    }
-    let mut scaling: Vec<ScalePoint> = Vec::new();
-    for workers in [1usize, 2, 4, 8] {
-        let mut index = ParallelVerticalIndex::build_with_workers(&db, workers);
-        index.set_work_floor(0); // measure the pooled path at every width
-        let pass = |index: &mut ParallelVerticalIndex, level: &[Itemset]| {
-            std::hint::black_box(index.minterm_counts_batch(level));
-        };
-        pass(&mut index, &level); // warm-up
-        let mut secs: Vec<f64> = (0..REPS)
-            .map(|_| {
-                let t0 = Instant::now();
-                pass(&mut index, &level);
-                t0.elapsed().as_secs_f64()
-            })
-            .collect();
-        secs.sort_unstable_by(f64::total_cmp);
-        scaling.push(ScalePoint {
-            workers,
-            seconds: secs[REPS / 2],
-        });
-    }
-
-    // Shard-scaling of the sharded batch path at the global pool's
-    // width: shard counts sweep past the worker count so the curve also
-    // shows the merge overhead of many-small-shards.
-    let mut shard_scaling: Vec<ScalePoint> = Vec::new();
-    for shards in [1usize, 2, 4, 8] {
-        let mut index = ShardedVerticalIndex::build_with_shards(&db, shards);
-        index.set_work_floor(0); // measure the pooled path at every width
-        let pass = |index: &mut ShardedVerticalIndex, level: &[Itemset]| {
-            std::hint::black_box(index.minterm_counts_batch(level));
-        };
-        pass(&mut index, &level); // warm-up
-        let mut secs: Vec<f64> = (0..REPS)
-            .map(|_| {
-                let t0 = Instant::now();
-                pass(&mut index, &level);
-                t0.elapsed().as_secs_f64()
-            })
-            .collect();
-        secs.sort_unstable_by(f64::total_cmp);
-        shard_scaling.push(ScalePoint {
-            workers: shards,
-            seconds: secs[REPS / 2],
-        });
-    }
-
-    // The sparse companion shape, batch paths only: per-item tid-sets
+    // The sparse companion shape, vertical batch only: per-item tid-sets
     // are ~4× emptier here, so the superblock population-hint skip does
     // real work instead of merely not hurting.
     let sparse_db = DataMethod::Quest.generate(SPARSE_ITEMS, N_BASKETS, 7);
@@ -426,22 +323,6 @@ fn main() {
         let (s, t) = time_level(&mut c, &sparse_level, |c, l| batch(c, l));
         sparse_rows.push(Row {
             name: "vertical/batch",
-            seconds: s,
-            tables_per_pass: t,
-            candidates: SPARSE_CANDIDATES,
-        });
-        let mut c = ParallelVerticalCounter::new(&sparse_db);
-        let (s, t) = time_level(&mut c, &sparse_level, |c, l| batch(c, l));
-        sparse_rows.push(Row {
-            name: "vertical_par/batch",
-            seconds: s,
-            tables_per_pass: t,
-            candidates: SPARSE_CANDIDATES,
-        });
-        let mut c = ShardedVerticalCounter::new(&sparse_db);
-        let (s, t) = time_level(&mut c, &sparse_level, |c, l| batch(c, l));
-        sparse_rows.push(Row {
-            name: "sharded/batch",
             seconds: s,
             tables_per_pass: t,
             candidates: SPARSE_CANDIDATES,
@@ -460,14 +341,6 @@ fn main() {
         let (s, t) = time_level(&mut c, &lc_level, |c, l| batch(c, l));
         lc_rows.push(Row {
             name: "vertical/batch",
-            seconds: s,
-            tables_per_pass: t,
-            candidates: DENSE_LC_CANDIDATES,
-        });
-        let mut c = ParallelVerticalCounter::new(&lc_db);
-        let (s, t) = time_level(&mut c, &lc_level, |c, l| batch(c, l));
-        lc_rows.push(Row {
-            name: "vertical_par/batch",
             seconds: s,
             tables_per_pass: t,
             candidates: DENSE_LC_CANDIDATES,
@@ -493,7 +366,7 @@ fn main() {
     // database, with and without every-level checkpointing into a real
     // file (atomic temp + fsync + rename per stamp). The guard is armed
     // on both sides so the only variable is the persistence layer.
-    std::fs::create_dir_all(&out_dir).expect("create output directory");
+    std::fs::create_dir_all(&out_dir)?;
     let attrs = AttributeTable::with_identity_prices(N_ITEMS);
     let mine_query = CorrelationQuery {
         params: MiningParams::paper(),
@@ -501,8 +374,8 @@ fn main() {
     };
     // ccs-lint: allow(checkpoint-io-confined, reason = "bench measures checkpoint overhead through the public CheckpointPolicy API; persist.rs still does all I/O")
     let ckpt_path = out_dir.join("bench_checkpoint.ccs");
-    let no_ckpt = time_mine(&db, &attrs, &mine_query, None);
-    let every_level = time_mine(&db, &attrs, &mine_query, Some(&ckpt_path));
+    let no_ckpt = time_mine(&db, &attrs, &mine_query, None)?;
+    let every_level = time_mine(&db, &attrs, &mine_query, Some(&ckpt_path))?;
     let _ = std::fs::remove_file(&ckpt_path);
     let overhead_pct = (every_level.seconds / no_ckpt.seconds - 1.0) * 100.0;
 
@@ -523,28 +396,19 @@ fn main() {
     let direct_crit = chi2_quantile(0.9, 1);
     // ccs-lint: allow(measure-verdict-confined, reason = "bench baseline: the pre-measure-layer direct spelling this row compares dispatch against")
     let direct_secs = time_verdicts(&tables, |t| t.chi_squared() >= direct_crit);
-    let chi2_ctx = MeasureContext::new(Measure::Chi2, 0.9).expect("chi2 context");
+    let chi2_ctx = MeasureContext::new(Measure::Chi2, 0.9)?;
     let dispatch_secs = time_verdicts(&tables, |t| chi2_ctx.verdict(t));
     let verdict_overhead_pct = (dispatch_secs / direct_secs - 1.0) * 100.0;
-    let allconf_ctx =
-        MeasureContext::new(Measure::AllConfidence, 0.5).expect("all-confidence context");
+    let allconf_ctx = MeasureContext::new(Measure::AllConfidence, 0.5)?;
     let allconf_secs = time_verdicts(&tables, |t| allconf_ctx.verdict(t));
-    let bond_ctx = MeasureContext::new(Measure::Bond, 0.1).expect("bond context");
+    let bond_ctx = MeasureContext::new(Measure::Bond, 0.1)?;
     let bond_secs = time_verdicts(&tables, |t| bond_ctx.verdict(t));
 
-    let vertical_single = rows
-        .iter()
-        .find(|r| r.name == "vertical/per_candidate")
-        .unwrap();
-    let vertical_batch = rows.iter().find(|r| r.name == "vertical/batch").unwrap();
+    let vertical_single = Row::find(&rows, "vertical/per_candidate")?;
+    let vertical_batch = Row::find(&rows, "vertical/batch")?;
     let speedup = vertical_single.seconds / vertical_batch.seconds;
-    let vertical_par_batch = rows
-        .iter()
-        .find(|r| r.name == "vertical_par/batch")
-        .unwrap();
-    let par_speedup = vertical_batch.seconds / vertical_par_batch.seconds;
-    let lc_vertical_batch = lc_rows.iter().find(|r| r.name == "vertical/batch").unwrap();
-    let lc_fptree_batch = lc_rows.iter().find(|r| r.name == "fptree/batch").unwrap();
+    let lc_vertical_batch = Row::find(&lc_rows, "vertical/batch")?;
+    let lc_fptree_batch = Row::find(&lc_rows, "fptree/batch")?;
     let fptree_speedup = lc_vertical_batch.seconds / lc_fptree_batch.seconds;
     let available = std::thread::available_parallelism()
         .map(|w| w.get())
@@ -554,7 +418,7 @@ fn main() {
     // compiled for (cfg! probes are compile-time truth, whatever mix of
     // .cargo/config.toml and RUSTFLAGS produced it) plus the RUSTFLAGS
     // environment as seen at run time — together they make cross-box
-    // comparisons (the flat 1-CPU thread_scaling caveat) self-describing.
+    // comparisons self-describing.
     let target_features: Vec<&str> = [
         ("sse4.2", cfg!(target_feature = "sse4.2")),
         ("popcnt", cfg!(target_feature = "popcnt")),
@@ -568,7 +432,8 @@ fn main() {
     .collect();
     let rustflags = std::env::var("RUSTFLAGS")
         .unwrap_or_else(|_| String::from("(unset; .cargo/config.toml: -C target-cpu=x86-64-v2)"));
-    // What `Auto` actually picks for each bench shape on this host.
+    // What `Auto` picks for each bench shape (a function of the shape
+    // alone, so the same on every host).
     let routing = [
         ("dense", CountingStrategy::Auto.resolve(&db, None, None)),
         (
@@ -599,25 +464,6 @@ fn main() {
         );
     }
     println!("\nvertical batch speedup over per-candidate: {speedup:.2}x");
-    println!("vertical_par batch speedup over vertical batch: {par_speedup:.2}x");
-    println!("thread scaling (vertical_par/batch, forced pooled path):");
-    for p in &scaling {
-        println!(
-            "  {} worker(s): {:.6}s ({:.2}x vs 1 worker)",
-            p.workers,
-            p.seconds,
-            scaling[0].seconds / p.seconds
-        );
-    }
-    println!("shard scaling (sharded/batch, global pool):");
-    for p in &shard_scaling {
-        println!(
-            "  {} shard(s): {:.6}s ({:.2}x vs 1 shard)",
-            p.workers,
-            p.seconds,
-            shard_scaling[0].seconds / p.seconds
-        );
-    }
     println!(
         "sparse shape ({SPARSE_ITEMS} items, {N_BASKETS} baskets, \
          {SPARSE_CANDIDATES} candidates):"
@@ -647,7 +493,7 @@ fn main() {
     println!(
         "fptree batch speedup over vertical batch (dense low-cardinality): {fptree_speedup:.2}x"
     );
-    println!("auto routing on this host:");
+    println!("auto routing:");
     for (shape, strategy) in &routing {
         println!("  {shape}: {strategy}");
     }
@@ -729,32 +575,6 @@ fn main() {
         );
     }
     json.push_str("  ],\n");
-    json.push_str("  \"thread_scaling\": [\n");
-    for (i, p) in scaling.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{ \"workers\": {}, \"median_seconds\": {:.6}, \
-             \"speedup_vs_1_worker\": {:.2} }}{}",
-            p.workers,
-            p.seconds,
-            scaling[0].seconds / p.seconds,
-            if i + 1 < scaling.len() { "," } else { "" }
-        );
-    }
-    json.push_str("  ],\n");
-    json.push_str("  \"shard_scaling\": [\n");
-    for (i, p) in shard_scaling.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{ \"shards\": {}, \"median_seconds\": {:.6}, \
-             \"speedup_vs_1_shard\": {:.2} }}{}",
-            p.workers,
-            p.seconds,
-            shard_scaling[0].seconds / p.seconds,
-            if i + 1 < shard_scaling.len() { "," } else { "" }
-        );
-    }
-    json.push_str("  ],\n");
     let _ = writeln!(
         json,
         "  \"sparse\": {{ \"items\": {SPARSE_ITEMS}, \"transactions\": {N_BASKETS}, \
@@ -826,66 +646,12 @@ fn main() {
     );
     let _ = writeln!(
         json,
-        "  \"vertical_batch_speedup_over_per_candidate\": {speedup:.2},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"vertical_par_batch_speedup_over_vertical_batch\": {par_speedup:.2}"
+        "  \"vertical_batch_speedup_over_per_candidate\": {speedup:.2}"
     );
     json.push_str("}\n");
 
-    std::fs::create_dir_all(&out_dir).expect("create output directory");
     let path = out_dir.join("BENCH_counting.json");
-    std::fs::write(&path, json).expect("write BENCH_counting.json");
+    std::fs::write(&path, json)?;
     println!("wrote {}", path.display());
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// Regression test for the per-scan spawn overhead: per-candidate
-    /// parallel counting used to spawn a fresh set of threads for every
-    /// scan, which made it the slowest strategy on the baseline shape.
-    /// With the persistent pool and the sequential work floor, a
-    /// one-candidate scan routes straight to the sequential kernel, so
-    /// it must now track the horizontal reference. Scaled-down shape +
-    /// a generous tolerance keep this timing assertion robust on noisy
-    /// or single-core hosts.
-    #[test]
-    fn parallel_per_candidate_is_not_the_slowest_strategy() {
-        let db = DataMethod::Quest.generate(N_ITEMS, 2_000, 7);
-        let level = dense_level(N_ITEMS, 60, CANDIDATE_SIZE, POOL);
-        let pass = |counter: &mut dyn MintermCounter| {
-            let t0 = Instant::now();
-            for set in &level {
-                std::hint::black_box(counter.minterm_counts(set));
-            }
-            t0.elapsed().as_secs_f64()
-        };
-        let mut horizontal = HorizontalCounter::new(&db);
-        let mut vertical = VerticalCounter::new(&db);
-        let mut parallel = ParallelCounter::with_available_parallelism(&db);
-        // Warm-up (vertical index build, page cache), then interleaved
-        // rounds with the per-strategy *minimum* kept: other test
-        // binaries share these cores, and min-of-rounds discards their
-        // scheduling noise where a mean or median would absorb it.
-        let (mut h, mut v, mut p) = (f64::MAX, f64::MAX, f64::MAX);
-        for _ in 0..2 {
-            pass(&mut horizontal);
-            pass(&mut vertical);
-            pass(&mut parallel);
-        }
-        for _ in 0..7 {
-            h = h.min(pass(&mut horizontal));
-            v = v.min(pass(&mut vertical));
-            p = p.min(pass(&mut parallel));
-        }
-        let slowest_other = h.max(v);
-        assert!(
-            p <= slowest_other * 1.5,
-            "parallel/per_candidate ({p:.6}s) is the slowest strategy again \
-             (slowest other: {slowest_other:.6}s) — per-scan dispatch overhead is back"
-        );
-    }
+    Ok(())
 }

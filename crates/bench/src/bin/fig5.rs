@@ -1,6 +1,7 @@
 //! Regenerates Figure 5 (a, b) of the paper. See `ccs_bench::figures`.
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let args = ccs_bench::HarnessArgs::parse();
-    ccs_bench::figures::Figure::Fig5.run_and_save(&args);
+    ccs_bench::figures::Figure::Fig5.run_and_save(&args)?;
+    Ok(())
 }

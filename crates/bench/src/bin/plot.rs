@@ -10,7 +10,7 @@ use std::path::PathBuf;
 use ccs_bench::plot::{render_svg, YAxis};
 use ccs_bench::report::parse_csv;
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let mut dir = PathBuf::from("results");
     let args: Vec<String> = std::env::args().skip(1).collect();
     if let Some(i) = args.iter().position(|a| a == "--out") {
@@ -29,13 +29,11 @@ fn main() {
                 std::fs::write(
                     dir.join(format!("fig{n}.svg")),
                     render_svg(&rows, YAxis::Seconds),
-                )
-                .expect("write svg");
+                )?;
                 std::fs::write(
                     dir.join(format!("fig{n}_tables.svg")),
                     render_svg(&rows, YAxis::Tables),
-                )
-                .expect("write svg");
+                )?;
                 rendered += 1;
             }
             Err(e) => eprintln!("skipping {}: {e}", csv.display()),
@@ -49,4 +47,5 @@ fn main() {
         std::process::exit(2);
     }
     eprintln!("rendered {rendered} figures into {}", dir.display());
+    Ok(())
 }

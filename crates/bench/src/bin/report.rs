@@ -8,7 +8,7 @@ use std::path::PathBuf;
 
 use ccs_bench::report::{parse_csv, render_markdown};
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let mut dir = PathBuf::from("results");
     let args: Vec<String> = std::env::args().skip(1).collect();
     if let Some(i) = args.iter().position(|a| a == "--out") {
@@ -42,6 +42,7 @@ fn main() {
         std::process::exit(2);
     }
     let out = dir.join("REPORT.md");
-    std::fs::write(&out, doc).expect("write report");
+    std::fs::write(&out, doc)?;
     eprintln!("wrote {} ({found} figures)", out.display());
+    Ok(())
 }

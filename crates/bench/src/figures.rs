@@ -123,7 +123,11 @@ impl Figure {
     }
 
     /// Runs the sweep, prints it, and writes `<out>/<name>.csv`.
-    pub fn run_and_save(self, args: &HarnessArgs) -> Vec<SweepRow> {
+    ///
+    /// # Errors
+    ///
+    /// Any I/O error writing the CSV.
+    pub fn run_and_save(self, args: &HarnessArgs) -> std::io::Result<Vec<SweepRow>> {
         eprintln!(
             "running {} ({} items, up to {} baskets)…",
             self.name(),
@@ -137,9 +141,9 @@ impl Figure {
         let rows = self.run(args);
         crate::print_table(&rows);
         let path = args.out_dir.join(format!("{}.csv", self.name()));
-        write_csv(&path, &rows);
+        write_csv(&path, &rows)?;
         eprintln!("wrote {}", path.display());
-        rows
+        Ok(rows)
     }
 }
 

@@ -85,7 +85,7 @@ pub fn render_markdown(rows: &[SweepRow]) -> String {
             }
         }
         let mut xs: Vec<f64> = subset.iter().map(|r| r.x).collect();
-        xs.sort_by(|a, b| a.partial_cmp(b).expect("finite x"));
+        xs.sort_by(f64::total_cmp);
         xs.dedup();
 
         let _ = writeln!(out, "### dataset: {ds}\n");
@@ -162,7 +162,7 @@ mod tests {
         let dir = std::env::temp_dir().join("ccs-report-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("fig1.csv");
-        crate::write_csv(&path, &rows());
+        crate::write_csv(&path, &rows()).unwrap();
         let back = parse_csv(&path).unwrap();
         assert_eq!(back, rows());
     }

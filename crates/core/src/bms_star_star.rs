@@ -25,7 +25,7 @@
 //! has already classified.
 //!
 //! Both phases are kernel policies over one shared engine; after a
-//! phase-1 trip, phase 2 re-enters in [`GuardMode::Bypass`] so the
+//! phase-1 trip, phase 2 re-enters in `GuardMode::Bypass` so the
 //! cache-only sweep survives the already-tripped guard.
 
 use std::collections::{HashMap, HashSet};

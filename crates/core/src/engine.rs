@@ -6,8 +6,8 @@
 //!   counting layer at once ([`MintermCounter::minterm_counts_batch`]),
 //!   so a horizontal strategy pays one scan per *level* rather than per
 //!   *candidate*, the vertical strategy can share prefix intersections
-//!   across candidates, and the parallel-vertical strategy can fan the
-//!   level's prefix-equivalence classes out over its worker pool.
+//!   across candidates, and the FP-tree strategy can memoize conditional
+//!   projections across the level.
 //! * A verdict memo-cache keyed by [`Itemset`]: once a set has been
 //!   judged, any later evaluation — typically a BMS*/BMS** border sweep
 //!   revisiting sets the BMS phase already classified — is answered from

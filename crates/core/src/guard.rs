@@ -5,10 +5,10 @@
 //! deadline, a work budget measured in contingency cells, an approximate
 //! memory budget for the vertical counter's scratch arena, and an
 //! external cancellation flag. The miners consult it *cooperatively*: at
-//! every level boundary (via [`Engine::evaluate_level_guarded`]
-//! [`crate::engine`]) and, through the [`CountProbe`] implementation,
+//! every level boundary (via `Engine::evaluate_level_guarded` in
+//! `crate::engine`) and, through the [`CountProbe`] implementation,
 //! inside the counting layer's interior loops (horizontal chunk loop,
-//! vertical prefix-class loop, parallel fan-out).
+//! vertical prefix-class loop, FP-tree projection boundary).
 //!
 //! When a limit trips, the run does not panic or return garbage: it stops
 //! at the next checkpoint and reports a **sound partial answer set** —
@@ -169,7 +169,8 @@ struct GuardInner {
     cells_charged: AtomicU64,
     cancelled: Arc<AtomicBool>,
     /// `TRIP_NONE`, or the `reason_code` of the first trip. First trip
-    /// wins; later trips (e.g. from racing parallel workers) are ignored.
+    /// wins; later trips (e.g. a cancellation racing a budget trip) are
+    /// ignored.
     tripped: AtomicU8,
 }
 
@@ -317,12 +318,6 @@ impl RunGuard {
 impl CountProbe for RunGuard {
     fn should_stop(&self) -> bool {
         self.checkpoint().is_err()
-    }
-
-    fn is_inert(&self) -> bool {
-        // Unarmed guards never trip, so pooled counters may skip the
-        // periodic probe-poll loop and block on worker results directly.
-        !self.inner.armed
     }
 
     fn charge(&self, cells: u64) -> bool {

@@ -32,10 +32,10 @@ pub struct MiningMetrics {
     /// Evaluations answered from the engine's verdict cache (no table
     /// was rebuilt).
     pub cache_hits: u64,
-    /// Counting batches a vertical strategy answered below its preferred
-    /// rung of the degradation ladder (vertical-parallel → vertical →
-    /// horizontal) because the run's memory budget could not fit the
-    /// scratch arena(s).
+    /// Counting batches a counter answered below its preferred rung of
+    /// the degradation ladder (FP-tree → vertical → horizontal; vertical
+    /// → horizontal) because the run's memory budget could not fit its
+    /// projections or scratch arena.
     pub degraded_batches: u64,
     /// Highest lattice level reached.
     pub max_level_reached: usize,

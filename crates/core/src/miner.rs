@@ -79,22 +79,6 @@ pub enum CountingStrategy {
     /// Tid-set intersections over a one-pass vertical index — the fast
     /// path (DESIGN.md ablation).
     Vertical,
-    /// Horizontal scans fanned out over all available cores — identical
-    /// cost model to `Horizontal`, divided across threads (an extension
-    /// beyond the paper's single-core testbed).
-    Parallel,
-    /// Vertical batch counting fanned out over prefix-equivalence
-    /// classes on a persistent worker pool, with a vertical →
-    /// horizontal degradation ladder under memory pressure
-    /// (DESIGN.md §6.2).
-    VerticalPar,
-    /// Vertical batch counting over horizontally sharded tid ranges:
-    /// each worker owns a disjoint transaction slice with its own cores
-    /// and arena, and per-shard contingency tables merge elementwise
-    /// into exact whole-database tables (DESIGN.md §6.3). The shard
-    /// count comes from [`MiningOptions::shards`] (default: one shard
-    /// per worker).
-    Sharded,
     /// Pattern-growth counting over a compressed FP-tree: conditional
     /// projections are memoized across a batch, so a dense level pays
     /// one projection per header item instead of one tid-set
@@ -103,8 +87,8 @@ pub enum CountingStrategy {
     /// distinct profiles; degrades FpTree → Vertical → Horizontal
     /// under memory pressure.
     FpTree,
-    /// Picks a concrete strategy from the database shape and available
-    /// parallelism at mining time; see [`CountingStrategy::resolve`].
+    /// Picks a concrete strategy from the database shape at mining
+    /// time; see [`CountingStrategy::resolve`].
     Auto,
 }
 
@@ -120,40 +104,31 @@ const FPTREE_MIN_AVG_LEN: f64 = 8.0;
 const FPTREE_MIN_DENSITY: f64 = 0.2;
 
 impl CountingStrategy {
-    /// Resolves `Auto` to a concrete strategy from database shape.
-    /// Non-`Auto` strategies return themselves.
+    /// The names [`std::str::FromStr`] accepts, as error messages list
+    /// them.
+    pub const CHOICES: &'static str = "horizontal, vertical, fp-tree, auto";
+
+    /// Resolves `Auto` to a concrete strategy from the database shape
+    /// alone, so the same database resolves identically on every host.
+    /// Non-`Auto` strategies return themselves. The two trailing
+    /// arguments are ignored; they remain only so existing callers keep
+    /// compiling.
     ///
-    /// The heuristic favours the measured-fastest substrate that the
-    /// shape supports: an empty database counts nothing (horizontal
-    /// avoids even the index build); a database whose per-item bitmaps
-    /// would be enormous *and* nearly empty (huge sparse universe) stays
-    /// horizontal; a database big enough to amortise pool dispatch uses
-    /// the parallel vertical engine when more than one worker is
-    /// available; everything else uses the sequential vertical index,
-    /// which dominates horizontal scanning by orders of magnitude on the
-    /// benchmark shapes (`results/BENCH_counting.json`).
-    ///
-    /// Shard-awareness: an explicit shard request (`shards` is `Some`)
-    /// routes `Auto` to the sharded substrate — the caller asked for a
-    /// specific horizontal partitioning, which only that engine
-    /// honours — but only when more than one worker is available: every
-    /// pool-backed strategy loses outright on a single-CPU box
-    /// (`vertical_par/batch` is 0.70× `vertical/batch` and 8-shard is
-    /// 0.64× 1-shard in `results/BENCH_counting.json`), so with one
-    /// worker the hint is ignored in favour of the sequential engines.
-    /// Without a hint, sharding is chosen over class-parallelism only
-    /// when the database is large enough (`n ≥ 65536`) that each
-    /// worker's tid slice still spans many cache-line superblocks.
-    ///
-    /// Dense low-cardinality shapes — a small item universe with long
+    /// An empty database counts nothing (horizontal avoids even the
+    /// index build); a database whose per-item bitmaps would be enormous
+    /// *and* nearly empty (huge sparse universe) stays horizontal. Dense
+    /// low-cardinality shapes — a small item universe with long
     /// transactions, where baskets collapse into few distinct profiles —
     /// route to the FP-tree pattern-growth counter, whose cost tracks
     /// distinct profiles rather than transactions (DESIGN.md §6.4).
+    /// Everything else uses the vertical index, which dominates
+    /// horizontal scanning by orders of magnitude on the benchmark
+    /// shapes (`results/BENCH_counting.json`).
     pub fn resolve(
         self,
         db: &TransactionDb,
-        threads: Option<usize>,
-        shards: Option<usize>,
+        _threads: Option<usize>,
+        _shards: Option<usize>,
     ) -> CountingStrategy {
         if self != CountingStrategy::Auto {
             return self;
@@ -168,25 +143,11 @@ impl CountingStrategy {
         if bitmap_bytes > (1 << 30) && density < 0.005 {
             return CountingStrategy::Horizontal;
         }
-        let workers = threads.unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|w| w.get())
-                .unwrap_or(1)
-        });
-        if workers > 1 && shards.is_some() {
-            return CountingStrategy::Sharded;
-        }
         if db.n_items() <= FPTREE_MAX_ITEMS
             && db.avg_transaction_len() >= FPTREE_MIN_AVG_LEN
             && density >= FPTREE_MIN_DENSITY
         {
             return CountingStrategy::FpTree;
-        }
-        if workers > 1 && n >= 65536 {
-            return CountingStrategy::Sharded;
-        }
-        if workers > 1 && n >= 4096 {
-            return CountingStrategy::VerticalPar;
         }
         CountingStrategy::Vertical
     }
@@ -196,9 +157,6 @@ impl CountingStrategy {
         match self {
             CountingStrategy::Horizontal => "horizontal",
             CountingStrategy::Vertical => "vertical",
-            CountingStrategy::Parallel => "parallel",
-            CountingStrategy::VerticalPar => "vertical-par",
-            CountingStrategy::Sharded => "sharded",
             CountingStrategy::FpTree => "fp-tree",
             CountingStrategy::Auto => "auto",
         }
@@ -218,46 +176,17 @@ impl std::str::FromStr for CountingStrategy {
         match s {
             "horizontal" => Ok(CountingStrategy::Horizontal),
             "vertical" => Ok(CountingStrategy::Vertical),
-            "parallel" => Ok(CountingStrategy::Parallel),
-            "vertical-par" | "vertical_par" => Ok(CountingStrategy::VerticalPar),
-            "sharded" => Ok(CountingStrategy::Sharded),
             "fp-tree" | "fptree" => Ok(CountingStrategy::FpTree),
             "auto" => Ok(CountingStrategy::Auto),
-            other => Err(format!(
-                "unknown counting strategy '{other}' \
-                 (expected horizontal, vertical, parallel, vertical-par, \
-                 sharded, fp-tree, or auto)"
+            "parallel" | "vertical-par" | "vertical_par" | "sharded" => Err(format!(
+                "counting strategy '{s}' was removed (it never beat 'vertical'); \
+                 expected one of {}",
+                CountingStrategy::CHOICES
             )),
-        }
-    }
-}
-
-/// Counting configuration for a mining run: the strategy plus an
-/// optional worker-thread override for the pooled strategies.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MiningOptions {
-    /// Counting strategy (`Auto` resolves per database at run time).
-    pub strategy: CountingStrategy,
-    /// Worker threads for `Parallel` / `VerticalPar` / `Sharded` /
-    /// `Auto`. `None` uses the process-wide pool sized to the machine's
-    /// available parallelism; `Some(n)` builds a private `n`-worker pool
-    /// for this run (created once, reused across every level).
-    pub threads: Option<usize>,
-    /// Tid-range shard count for `Sharded` (and a routing hint for
-    /// `Auto` — see [`CountingStrategy::resolve`]). `None` uses one
-    /// shard per worker; `Some(n)` splits the tid range into `n`
-    /// contiguous shards (clamped to the transaction count, so empty
-    /// shards are never minted).
-    pub shards: Option<usize>,
-}
-
-impl MiningOptions {
-    /// Options for a strategy with the default thread policy.
-    pub fn with_strategy(strategy: CountingStrategy) -> Self {
-        MiningOptions {
-            strategy,
-            threads: None,
-            shards: None,
+            other => Err(format!(
+                "unknown counting strategy '{other}' (expected one of {})",
+                CountingStrategy::CHOICES
+            )),
         }
     }
 }
@@ -331,8 +260,8 @@ mod tests {
     /// A database with two overlapping correlated modules over 8 items,
     /// so mining levels carry many same-prefix candidates: the
     /// level-batched evaluation paths (one-scan horizontal batch,
-    /// prefix-sharing vertical batch, parallel fan-out) and the verdict
-    /// memo-cache all see real traffic.
+    /// prefix-sharing vertical batch, projection-memoized fp-tree batch)
+    /// and the verdict memo-cache all see real traffic.
     fn modular_db() -> TransactionDb {
         let mut txns = Vec::new();
         for i in 0..120u32 {
@@ -360,8 +289,8 @@ mod tests {
     fn all_counting_strategies_agree() {
         // Every algorithm routes candidates through the level-batched
         // `Engine::evaluate_level`, so this compares the horizontal
-        // batch, the prefix-sharing vertical batch, and the parallel
-        // fan-out — plus the memo-cache in front of all three — against
+        // batch, the prefix-sharing vertical batch, and the fp-tree
+        // batch — plus the memo-cache in front of all three — against
         // each other on both databases, byte for byte.
         let attrs = AttributeTable::with_identity_prices(8);
         let q = query();
@@ -375,8 +304,6 @@ mod tests {
                     .answers;
                 for strategy in [
                     CountingStrategy::Vertical,
-                    CountingStrategy::Parallel,
-                    CountingStrategy::VerticalPar,
                     CountingStrategy::FpTree,
                     CountingStrategy::Auto,
                 ] {
@@ -392,87 +319,54 @@ mod tests {
     }
 
     #[test]
-    fn vertical_par_agrees_across_explicit_thread_counts() {
-        // The pooled vertical counter must be bit-identical to the
-        // horizontal reference regardless of how many workers the run
-        // is given — including a degenerate 1-worker pool.
-        let attrs = AttributeTable::with_identity_prices(8);
-        let q = query();
-        let db = modular_db();
-        let mut session = MiningSession::new(&db, &attrs);
-        for &a in &Algorithm::paper_algorithms() {
-            let h = session
-                .mine(&q, &MineRequest::new(a))
-                .unwrap()
-                .result
-                .answers;
-            for threads in [1, 2, 4] {
-                let request = MineRequest::new(a)
-                    .strategy(CountingStrategy::VerticalPar)
-                    .threads(threads);
-                let v = session.mine(&q, &request).unwrap().result.answers;
-                assert_eq!(h, v, "vertical-par({threads}) mismatch for {a}");
-            }
-        }
-    }
-
-    #[test]
-    fn auto_resolves_from_database_shape() {
+    fn auto_resolves_from_database_shape_alone() {
         use CountingStrategy::*;
-        let small = db(); // 50 transactions: below the pool floor.
-        assert_eq!(Auto.resolve(&small, Some(8), None), Vertical);
-        assert_eq!(Auto.resolve(&small, Some(1), None), Vertical);
+        let small = db();
         let empty = TransactionDb::from_ids(3, Vec::<Vec<u32>>::new());
-        assert_eq!(Auto.resolve(&empty, Some(8), None), Horizontal);
-        // Concrete strategies are fixed points.
-        for s in [Horizontal, Vertical, Parallel, VerticalPar, Sharded, FpTree] {
-            assert_eq!(s.resolve(&small, None, None), s);
-        }
-        // A big database with workers to spare goes parallel-vertical.
         let big = TransactionDb::from_ids(4, (0..5000u32).map(|t| vec![t % 4, (t + 1) % 4]));
-        assert_eq!(Auto.resolve(&big, Some(4), None), VerticalPar);
-        assert_eq!(Auto.resolve(&big, Some(1), None), Vertical);
-        // An explicit shard request routes Auto to the sharded engine —
-        // but only with workers to run it: pool-backed strategies lose
-        // outright on a single-CPU box (BENCH_counting.json), so a
-        // 1-worker run ignores the hint and stays sequential.
-        assert_eq!(Auto.resolve(&big, Some(4), Some(3)), Sharded);
-        assert_eq!(Auto.resolve(&big, Some(1), Some(3)), Vertical);
-        // A huge database shards even without a hint.
         let huge = TransactionDb::from_ids(4, (0..70_000u32).map(|t| vec![t % 4, (t + 1) % 4]));
-        assert_eq!(Auto.resolve(&huge, Some(4), None), Sharded);
-        assert_eq!(Auto.resolve(&huge, Some(1), None), Vertical);
         // Dense low-cardinality: long transactions over a small item
-        // universe collapse into few profiles — pattern growth wins
-        // regardless of worker count, so it outranks the pool routes.
+        // universe collapse into few profiles, so pattern growth wins.
         let dense = TransactionDb::from_ids(
             33,
             (0..5000u32).map(|t| (0..16).map(|j| (t % 3) + 2 * j).collect::<Vec<_>>()),
         );
-        assert_eq!(Auto.resolve(&dense, Some(8), None), FpTree);
-        assert_eq!(Auto.resolve(&dense, Some(1), None), FpTree);
+        for (db, expected) in [
+            (&small, Vertical),
+            (&empty, Horizontal),
+            (&big, Vertical),
+            (&huge, Vertical),
+            (&dense, FpTree),
+        ] {
+            // The thread and shard arguments never change the route.
+            for threads in [None, Some(1), Some(2), Some(8)] {
+                for shards in [None, Some(3)] {
+                    assert_eq!(Auto.resolve(db, threads, shards), expected);
+                }
+            }
+        }
+        // Concrete strategies are fixed points.
+        for s in [Horizontal, Vertical, FpTree] {
+            assert_eq!(s.resolve(&small, None, None), s);
+        }
     }
 
     #[test]
     fn strategy_names_round_trip_through_fromstr() {
         use CountingStrategy::*;
-        for s in [
-            Horizontal,
-            Vertical,
-            Parallel,
-            VerticalPar,
-            Sharded,
-            FpTree,
-            Auto,
-        ] {
+        for s in [Horizontal, Vertical, FpTree, Auto] {
             assert_eq!(s.name().parse::<CountingStrategy>().unwrap(), s);
         }
         assert!("simd".parse::<CountingStrategy>().is_err());
-        assert_eq!(VerticalPar.to_string(), "vertical-par");
-        assert_eq!(Sharded.to_string(), "sharded");
         assert_eq!(FpTree.to_string(), "fp-tree");
         // The underscore-free alias parses too.
         assert_eq!("fptree".parse::<CountingStrategy>().unwrap(), FpTree);
+        // The removed strategies are rejected with the surviving choices.
+        for removed in ["parallel", "vertical-par", "vertical_par", "sharded"] {
+            let err = removed.parse::<CountingStrategy>().unwrap_err();
+            assert!(err.contains(removed), "{err}");
+            assert!(err.contains(CountingStrategy::CHOICES), "{err}");
+        }
     }
 
     #[test]

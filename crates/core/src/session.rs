@@ -7,7 +7,7 @@
 //! [`MiningSession::resume`], get a [`MineOutcome`] back.
 //!
 //! A session owns the counting substrate and keeps it **warm across
-//! queries**: the vertical index (or worker pool) built for the first
+//! queries**: the vertical index (or FP-tree) built for the first
 //! query is reused by every later query with the same resolved strategy,
 //! which is the iterative-session pattern of *Interactive Constrained
 //! Association Rule Mining* (Goethals & Van den Bussche) — in an
@@ -20,8 +20,7 @@
 
 use ccs_constraints::AttributeTable;
 use ccs_itemset::{
-    FpTreeCounter, HorizontalCounter, MintermCounter, ParallelCounter, ParallelVerticalCounter,
-    ShardedVerticalCounter, TransactionDb, VerticalCounter,
+    FpTreeCounter, HorizontalCounter, MintermCounter, TransactionDb, VerticalCounter,
 };
 
 use crate::bms_plus::run_bms_plus_guarded;
@@ -32,18 +31,17 @@ use std::sync::Arc;
 
 use crate::guard::{GuardLimits, ResumeInner, ResumeState, RunGuard, RESUME_FORMAT};
 use crate::metrics::MiningMetrics;
-use crate::miner::{Algorithm, CountingStrategy, MiningOptions};
+use crate::miner::{Algorithm, CountingStrategy};
 use crate::naive::run_naive_guarded;
 use crate::persist::{fingerprint_db, CheckpointPolicy, CheckpointRecorder, CheckpointReport};
 use crate::query::{CorrelationQuery, MiningError, MiningResult, Semantics};
 
-/// One mining request: the algorithm to run, the counting configuration,
+/// One mining request: the algorithm to run, the counting strategy,
 /// and the resource guard. Built fluently:
 ///
 /// ```ignore
 /// MineRequest::new(Algorithm::BmsPlusPlus)
 ///     .strategy(CountingStrategy::Auto)
-///     .threads(4)
 ///     .guard(guard)
 /// ```
 #[derive(Debug, Clone)]
@@ -53,8 +51,8 @@ pub struct MineRequest {
     /// [`MiningSession::mine`] run BMS++, the paper's best `VALID_MIN`
     /// algorithm.
     pub algorithm: Option<Algorithm>,
-    /// Counting strategy and thread override.
-    pub options: MiningOptions,
+    /// Counting strategy (`Auto` resolves per database).
+    pub strategy: CountingStrategy,
     /// Resource governor; defaults to the inert unlimited guard.
     pub guard: RunGuard,
     /// Durability: where (and how often) the run stamps crash-safe
@@ -69,7 +67,7 @@ impl Default for MineRequest {
     fn default() -> Self {
         MineRequest {
             algorithm: None,
-            options: MiningOptions::default(),
+            strategy: CountingStrategy::default(),
             guard: RunGuard::unlimited(),
             checkpoint: None,
         }
@@ -82,7 +80,7 @@ impl MineRequest {
     pub fn new(algorithm: Algorithm) -> Self {
         MineRequest {
             algorithm: Some(algorithm),
-            options: MiningOptions::default(),
+            strategy: CountingStrategy::default(),
             guard: RunGuard::unlimited(),
             checkpoint: None,
         }
@@ -98,29 +96,7 @@ impl MineRequest {
     /// Sets the counting strategy (`Auto` resolves per database).
     #[must_use]
     pub fn strategy(mut self, strategy: CountingStrategy) -> Self {
-        self.options.strategy = strategy;
-        self
-    }
-
-    /// Overrides the worker-thread count for pooled strategies.
-    #[must_use]
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.options.threads = Some(threads);
-        self
-    }
-
-    /// Overrides the tid-range shard count for the sharded strategy
-    /// (and routes `Auto` to it — see [`CountingStrategy::resolve`]).
-    #[must_use]
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.options.shards = Some(shards);
-        self
-    }
-
-    /// Replaces the full counting options.
-    #[must_use]
-    pub fn options(mut self, options: MiningOptions) -> Self {
-        self.options = options;
+        self.strategy = strategy;
         self
     }
 
@@ -164,10 +140,9 @@ pub struct MineOutcome {
 /// for every algorithm, counting strategy, guard, and resume path.
 ///
 /// The counting substrate is cached between queries (keyed by resolved
-/// strategy + thread override), so an interactive loop that re-mines
-/// under changing constraints pays the vertical index or pool spin-up
-/// once. Statistics are delta-based per run, so reuse never skews
-/// metrics.
+/// strategy), so an interactive loop that re-mines under changing
+/// constraints pays the vertical index or FP-tree build once.
+/// Statistics are delta-based per run, so reuse never skews metrics.
 pub struct MiningSession<'a> {
     db: &'a TransactionDb,
     attrs: &'a AttributeTable,
@@ -176,8 +151,6 @@ pub struct MiningSession<'a> {
 
 struct CachedCounter<'a> {
     strategy: CountingStrategy,
-    threads: Option<usize>,
-    shards: Option<usize>,
     counter: Box<dyn MintermCounter + 'a>,
 }
 
@@ -247,23 +220,12 @@ impl<'a> MiningSession<'a> {
         algorithm: Algorithm,
         resume: Option<ResumeInner>,
     ) -> Result<MineOutcome, MiningError> {
-        let strategy = request.options.strategy.resolve(
-            self.db,
-            request.options.threads,
-            request.options.shards,
-        );
-        let threads = request.options.threads;
-        let shards = request.options.shards;
-        let reusable = matches!(
-            &self.counter,
-            Some(c) if c.strategy == strategy && c.threads == threads && c.shards == shards
-        );
+        let strategy = request.strategy.resolve(self.db, None, None);
+        let reusable = matches!(&self.counter, Some(c) if c.strategy == strategy);
         if !reusable {
             self.counter = Some(CachedCounter {
                 strategy,
-                threads,
-                shards,
-                counter: make_counter(self.db, strategy, threads, shards),
+                counter: make_counter(self.db, strategy),
             });
         }
         #[allow(clippy::expect_used)] // just installed above
@@ -315,7 +277,7 @@ fn checkpoint_setup(
 
 /// Runs one request against a caller-owned counter — the expert path for
 /// custom substrates, fault injection, and post-run counter inspection.
-/// The request's counting options are ignored (the counter *is* the
+/// The request's counting strategy is ignored (the counter *is* the
 /// strategy).
 ///
 /// # Errors
@@ -407,28 +369,10 @@ fn check_resume(
 fn make_counter<'a>(
     db: &'a TransactionDb,
     strategy: CountingStrategy,
-    threads: Option<usize>,
-    shards: Option<usize>,
 ) -> Box<dyn MintermCounter + 'a> {
     match strategy {
         CountingStrategy::Horizontal => Box::new(HorizontalCounter::new(db)),
         CountingStrategy::Vertical => Box::new(VerticalCounter::new(db)),
-        CountingStrategy::Parallel => match threads {
-            Some(n) => Box::new(ParallelCounter::new(db, n)),
-            None => Box::new(ParallelCounter::with_available_parallelism(db)),
-        },
-        CountingStrategy::VerticalPar => match threads {
-            Some(n) => Box::new(ParallelVerticalCounter::with_workers(db, n)),
-            None => Box::new(ParallelVerticalCounter::new(db)),
-        },
-        CountingStrategy::Sharded => match (shards, threads) {
-            (Some(s), Some(t)) => {
-                Box::new(ShardedVerticalCounter::with_shards_and_workers(db, s, t))
-            }
-            (Some(s), None) => Box::new(ShardedVerticalCounter::with_shards(db, s)),
-            (None, Some(t)) => Box::new(ShardedVerticalCounter::with_shards_and_workers(db, t, t)),
-            (None, None) => Box::new(ShardedVerticalCounter::new(db)),
-        },
         CountingStrategy::FpTree => Box::new(FpTreeCounter::new(db)),
         CountingStrategy::Auto => unreachable!("resolve() never returns Auto"),
     }

@@ -236,14 +236,14 @@ mod bms_plus_plus {
     }
 
     /// BMS++ must agree with BMS+ on every constraint mix (Theorem 2.1).
-    fn assert_agrees_with_bms_plus(cs: ConstraintSet) {
+    fn assert_agrees_with_bms_plus(cs: ConstraintSet) -> Result<(), MiningError> {
         let db = db();
         let attrs = attrs();
         let q = query(cs);
         let mut c1 = HorizontalCounter::new(&db);
-        let plus = run_bms_plus(&db, &attrs, &q, &mut c1).unwrap();
+        let plus = run_bms_plus(&db, &attrs, &q, &mut c1)?;
         let mut c2 = HorizontalCounter::new(&db);
-        let pp = run_bms_plus_plus(&db, &attrs, &q, &mut c2).unwrap();
+        let pp = run_bms_plus_plus(&db, &attrs, &q, &mut c2)?;
         assert_eq!(
             plus.answers, pp.answers,
             "BMS+ vs BMS++ for {}",
@@ -259,50 +259,55 @@ mod bms_plus_plus {
             plus.metrics.tables_built,
             pp.answers.len()
         );
+        Ok(())
     }
 
     #[test]
-    fn agrees_unconstrained() {
-        assert_agrees_with_bms_plus(ConstraintSet::new());
+    fn agrees_unconstrained() -> Result<(), MiningError> {
+        assert_agrees_with_bms_plus(ConstraintSet::new())
     }
 
     #[test]
-    fn agrees_with_am_succinct_constraint() {
-        assert_agrees_with_bms_plus(ConstraintSet::new().and(Constraint::max_le("price", 2.0)));
-        assert_agrees_with_bms_plus(ConstraintSet::new().and(Constraint::max_le("price", 4.0)));
-        assert_agrees_with_bms_plus(ConstraintSet::new().and(Constraint::min_ge("price", 3.0)));
+    fn agrees_with_am_succinct_constraint() -> Result<(), MiningError> {
+        assert_agrees_with_bms_plus(ConstraintSet::new().and(Constraint::max_le("price", 2.0)))?;
+        assert_agrees_with_bms_plus(ConstraintSet::new().and(Constraint::max_le("price", 4.0)))?;
+        assert_agrees_with_bms_plus(ConstraintSet::new().and(Constraint::min_ge("price", 3.0)))?;
+        Ok(())
     }
 
     #[test]
-    fn agrees_with_am_nonsuccinct_constraint() {
-        assert_agrees_with_bms_plus(ConstraintSet::new().and(Constraint::sum_le("price", 3.0)));
-        assert_agrees_with_bms_plus(ConstraintSet::new().and(Constraint::sum_le("price", 7.0)));
+    fn agrees_with_am_nonsuccinct_constraint() -> Result<(), MiningError> {
+        assert_agrees_with_bms_plus(ConstraintSet::new().and(Constraint::sum_le("price", 3.0)))?;
+        assert_agrees_with_bms_plus(ConstraintSet::new().and(Constraint::sum_le("price", 7.0)))?;
+        Ok(())
     }
 
     #[test]
-    fn agrees_with_monotone_succinct_constraint() {
-        assert_agrees_with_bms_plus(ConstraintSet::new().and(Constraint::min_le("price", 1.0)));
-        assert_agrees_with_bms_plus(ConstraintSet::new().and(Constraint::min_le("price", 3.0)));
-        assert_agrees_with_bms_plus(ConstraintSet::new().and(Constraint::max_ge("price", 4.0)));
+    fn agrees_with_monotone_succinct_constraint() -> Result<(), MiningError> {
+        assert_agrees_with_bms_plus(ConstraintSet::new().and(Constraint::min_le("price", 1.0)))?;
+        assert_agrees_with_bms_plus(ConstraintSet::new().and(Constraint::min_le("price", 3.0)))?;
+        assert_agrees_with_bms_plus(ConstraintSet::new().and(Constraint::max_ge("price", 4.0)))?;
+        Ok(())
     }
 
     #[test]
-    fn agrees_with_monotone_nonsuccinct_constraint() {
-        assert_agrees_with_bms_plus(ConstraintSet::new().and(Constraint::sum_ge("price", 5.0)));
+    fn agrees_with_monotone_nonsuccinct_constraint() -> Result<(), MiningError> {
+        assert_agrees_with_bms_plus(ConstraintSet::new().and(Constraint::sum_ge("price", 5.0)))
     }
 
     #[test]
-    fn agrees_with_mixed_constraints() {
+    fn agrees_with_mixed_constraints() -> Result<(), MiningError> {
         assert_agrees_with_bms_plus(
             ConstraintSet::new()
                 .and(Constraint::max_le("price", 4.0))
                 .and(Constraint::sum_ge("price", 3.0)),
-        );
+        )?;
         assert_agrees_with_bms_plus(
             ConstraintSet::new()
                 .and(Constraint::sum_le("price", 7.0))
                 .and(Constraint::min_le("price", 2.0)),
-        );
+        )?;
+        Ok(())
     }
 
     #[test]
@@ -369,46 +374,49 @@ mod bms_star {
         }
     }
 
-    fn assert_agrees_with_naive(cs: ConstraintSet) {
+    fn assert_agrees_with_naive(cs: ConstraintSet) -> Result<(), MiningError> {
         let db = db();
         let attrs = AttributeTable::with_identity_prices(5);
         let q = query(cs);
         let mut c1 = HorizontalCounter::new(&db);
-        let star = run_bms_star(&db, &attrs, &q, &mut c1).unwrap();
+        let star = run_bms_star(&db, &attrs, &q, &mut c1)?;
         let mut c2 = HorizontalCounter::new(&db);
-        let naive = run_naive(&db, &attrs, &q, Semantics::MinValid, &mut c2).unwrap();
+        let naive = run_naive(&db, &attrs, &q, Semantics::MinValid, &mut c2)?;
         assert_eq!(
             star.answers, naive.answers,
             "BMS* vs naive for {}",
             q.constraints
         );
+        Ok(())
     }
 
     #[test]
-    fn agrees_unconstrained() {
-        assert_agrees_with_naive(ConstraintSet::new());
+    fn agrees_unconstrained() -> Result<(), MiningError> {
+        assert_agrees_with_naive(ConstraintSet::new())
     }
 
     #[test]
-    fn agrees_with_anti_monotone_constraints() {
-        assert_agrees_with_naive(ConstraintSet::new().and(Constraint::max_le("price", 4.0)));
-        assert_agrees_with_naive(ConstraintSet::new().and(Constraint::sum_le("price", 5.0)));
+    fn agrees_with_anti_monotone_constraints() -> Result<(), MiningError> {
+        assert_agrees_with_naive(ConstraintSet::new().and(Constraint::max_le("price", 4.0)))?;
+        assert_agrees_with_naive(ConstraintSet::new().and(Constraint::sum_le("price", 5.0)))?;
+        Ok(())
     }
 
     #[test]
-    fn agrees_with_monotone_constraints() {
-        assert_agrees_with_naive(ConstraintSet::new().and(Constraint::sum_ge("price", 5.0)));
-        assert_agrees_with_naive(ConstraintSet::new().and(Constraint::min_le("price", 2.0)));
-        assert_agrees_with_naive(ConstraintSet::new().and(Constraint::max_ge("price", 4.0)));
+    fn agrees_with_monotone_constraints() -> Result<(), MiningError> {
+        assert_agrees_with_naive(ConstraintSet::new().and(Constraint::sum_ge("price", 5.0)))?;
+        assert_agrees_with_naive(ConstraintSet::new().and(Constraint::min_le("price", 2.0)))?;
+        assert_agrees_with_naive(ConstraintSet::new().and(Constraint::max_ge("price", 4.0)))?;
+        Ok(())
     }
 
     #[test]
-    fn agrees_with_mixed_constraints() {
+    fn agrees_with_mixed_constraints() -> Result<(), MiningError> {
         assert_agrees_with_naive(
             ConstraintSet::new()
                 .and(Constraint::max_le("price", 4.0))
                 .and(Constraint::sum_ge("price", 4.0)),
-        );
+        )
     }
 
     #[test]
@@ -478,60 +486,64 @@ mod bms_star_star {
         }
     }
 
-    fn assert_agrees(cs: ConstraintSet) {
+    fn assert_agrees(cs: ConstraintSet) -> Result<(), MiningError> {
         let db = db();
         let attrs = AttributeTable::with_identity_prices(5);
         let q = query(cs);
         let mut c1 = HorizontalCounter::new(&db);
-        let ss = run_bms_star_star(&db, &attrs, &q, &mut c1).unwrap();
+        let ss = run_bms_star_star(&db, &attrs, &q, &mut c1)?;
         let mut c2 = HorizontalCounter::new(&db);
-        let naive = run_naive(&db, &attrs, &q, Semantics::MinValid, &mut c2).unwrap();
+        let naive = run_naive(&db, &attrs, &q, Semantics::MinValid, &mut c2)?;
         assert_eq!(
             ss.answers, naive.answers,
             "BMS** vs naive for {}",
             q.constraints
         );
         let mut c3 = HorizontalCounter::new(&db);
-        let star = run_bms_star(&db, &attrs, &q, &mut c3).unwrap();
+        let star = run_bms_star(&db, &attrs, &q, &mut c3)?;
         assert_eq!(
             ss.answers, star.answers,
             "BMS** vs BMS* for {}",
             q.constraints
         );
+        Ok(())
     }
 
     #[test]
-    fn agrees_unconstrained() {
-        assert_agrees(ConstraintSet::new());
+    fn agrees_unconstrained() -> Result<(), MiningError> {
+        assert_agrees(ConstraintSet::new())
     }
 
     #[test]
-    fn agrees_with_anti_monotone_constraints() {
-        assert_agrees(ConstraintSet::new().and(Constraint::max_le("price", 4.0)));
-        assert_agrees(ConstraintSet::new().and(Constraint::sum_le("price", 5.0)));
-        assert_agrees(ConstraintSet::new().and(Constraint::min_ge("price", 2.0)));
+    fn agrees_with_anti_monotone_constraints() -> Result<(), MiningError> {
+        assert_agrees(ConstraintSet::new().and(Constraint::max_le("price", 4.0)))?;
+        assert_agrees(ConstraintSet::new().and(Constraint::sum_le("price", 5.0)))?;
+        assert_agrees(ConstraintSet::new().and(Constraint::min_ge("price", 2.0)))?;
+        Ok(())
     }
 
     #[test]
-    fn agrees_with_monotone_constraints() {
-        assert_agrees(ConstraintSet::new().and(Constraint::min_le("price", 2.0)));
-        assert_agrees(ConstraintSet::new().and(Constraint::max_ge("price", 4.0)));
-        assert_agrees(ConstraintSet::new().and(Constraint::sum_ge("price", 5.0)));
-        assert_agrees(ConstraintSet::new().and(Constraint::sum_ge("price", 8.0)));
+    fn agrees_with_monotone_constraints() -> Result<(), MiningError> {
+        assert_agrees(ConstraintSet::new().and(Constraint::min_le("price", 2.0)))?;
+        assert_agrees(ConstraintSet::new().and(Constraint::max_ge("price", 4.0)))?;
+        assert_agrees(ConstraintSet::new().and(Constraint::sum_ge("price", 5.0)))?;
+        assert_agrees(ConstraintSet::new().and(Constraint::sum_ge("price", 8.0)))?;
+        Ok(())
     }
 
     #[test]
-    fn agrees_with_mixed_constraints() {
+    fn agrees_with_mixed_constraints() -> Result<(), MiningError> {
         assert_agrees(
             ConstraintSet::new()
                 .and(Constraint::max_le("price", 4.0))
                 .and(Constraint::sum_ge("price", 4.0)),
-        );
+        )?;
         assert_agrees(
             ConstraintSet::new()
                 .and(Constraint::sum_le("price", 9.0))
                 .and(Constraint::min_le("price", 3.0)),
-        );
+        )?;
+        Ok(())
     }
 
     #[test]

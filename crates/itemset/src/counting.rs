@@ -21,8 +21,8 @@
 //! counter also exposes a *guarded* batch entry point,
 //! [`MintermCounter::minterm_counts_batch_guarded`], which consults a
 //! [`CountProbe`] at interior loop boundaries (horizontal chunk loop,
-//! vertical prefix-class loop, parallel fan-out) and abandons the batch
-//! with [`BatchInterrupted`] when the probe asks it to stop. Work
+//! vertical prefix-class loop, FP-tree projection boundary) and abandons
+//! the batch with [`BatchInterrupted`] when the probe asks it to stop. Work
 //! statistics stay accurate across an abandoned batch: every *completed*
 //! unit (scan, prefix class, table) is flushed into [`CountingStats`]
 //! before the error returns. The unguarded methods are the guarded ones
@@ -51,8 +51,8 @@ pub struct CountingStats {
     /// Evaluations answered from a verdict cache instead of a counter
     /// (tracked by `ccs-core`'s engine, not by the counters themselves).
     pub cache_hits: u64,
-    /// Batches a vertical counter answered below its preferred rung of
-    /// the degradation ladder (vertical-parallel → vertical →
+    /// Batches a counter answered below its preferred rung of the
+    /// degradation ladder (FP-tree → vertical → horizontal; vertical →
     /// horizontal) after a scratch-arena memory budget tripped.
     pub degraded_batches: u64,
 }
@@ -104,9 +104,8 @@ impl std::ops::AddAssign for CountingStats {
 /// A cooperative-interruption hook consulted inside batch counting loops.
 ///
 /// Implemented by `ccs-core`'s `RunGuard`; [`NoProbe`] is the no-op used
-/// by the unguarded paths. Probes must be [`Sync`]: the parallel counter
-/// shares one probe across its scoped workers.
-pub trait CountProbe: Sync {
+/// by the unguarded paths.
+pub trait CountProbe {
     /// `true` when counting should stop at the next boundary (deadline
     /// passed, budget exhausted, or externally cancelled).
     fn should_stop(&self) -> bool;
@@ -125,15 +124,6 @@ pub trait CountProbe: Sync {
     /// Notifies the probe that a memory budget was tripped by a counter
     /// that has no cheaper strategy to degrade to.
     fn note_memory_trip(&self) {}
-
-    /// `true` when this probe can never interrupt (no deadline, work
-    /// budget, memory budget, or cancellation source). Parallel engines
-    /// use this to choose a blocking wait over a poll-and-check loop
-    /// while draining worker results. Defaults to `false` — assuming a
-    /// probe may trip is always sound, just marginally slower.
-    fn is_inert(&self) -> bool {
-        false
-    }
 }
 
 /// The probe that never interrupts: unguarded counting.
@@ -146,9 +136,6 @@ impl CountProbe for NoProbe {
     }
     fn charge(&self, _cells: u64) -> bool {
         false
-    }
-    fn is_inert(&self) -> bool {
-        true
     }
 }
 

@@ -1,9 +1,8 @@
 //! [`FpTree`]: pattern-growth minterm counting over a compressed prefix
 //! tree.
 //!
-//! The vertical substrates (tid-set intersection, pooled classes,
-//! sharded ranges) all pay per-candidate work proportional to the
-//! database's *transaction count* — every contingency table walks
+//! The vertical substrate (tid-set intersection) pays per-candidate
+//! work proportional to the database's *transaction count* — every contingency table walks
 //! bitmaps of `n` bits. On dense, low-cardinality databases that is the
 //! wrong currency: transactions cluster into a few distinct profiles,
 //! and an FP-tree (Han-Pei-Yin) compresses the whole database into one
@@ -55,7 +54,7 @@
 //! boundary (before each candidate's projection walks) and charges each
 //! completed table, so a trip abandons the batch with exact
 //! completed-candidate accounting — identical first-trip-wins contract
-//! to the vertical engines; a half-counted table never escapes.
+//! to the vertical counter; a half-counted table never escapes.
 //! [`FpTreeCounter`] adds the memory-pressure ladder: when a probe's
 //! arena budget cannot hold the batch's memoized projections it
 //! degrades (stickily) to a lazily built [`VerticalIndex`], and below
@@ -69,7 +68,6 @@ use crate::counting::{
 use crate::database::TransactionDb;
 use crate::itemset::Itemset;
 use crate::vertical::{alloc_results, VerticalIndex};
-use crate::vertical_par::DegradationRung;
 
 /// Sentinel in the item→cell-bit scratch map: item not in the candidate.
 const NOT_IN_SET: u32 = u32::MAX;
@@ -440,13 +438,26 @@ impl FpTree {
     }
 }
 
+/// The rung of the degradation ladder an [`FpTreeCounter`] is currently
+/// answering batches from. Degradation is sticky and only moves down:
+/// FP-tree → vertical → horizontal.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum DegradationRung {
+    /// Pattern growth over the FP-tree (the preferred rung).
+    FpTree,
+    /// Vertical tid-set counting — the batch's memoized projections no
+    /// longer fit the memory budget, one scratch arena still does.
+    Vertical,
+    /// Guarded horizontal scans — even one scratch arena exceeds the
+    /// budget.
+    Horizontal,
+}
+
 /// Pattern-growth counter: answers contingency tables from an
-/// [`FpTree`], degrading under memory pressure through the same sticky,
-/// downward-only ladder as the other tiered counters:
+/// [`FpTree`], degrading under memory pressure through a sticky,
+/// downward-only ladder:
 ///
-/// * [`DegradationRung::Parallel`] — the FP-tree rung (the preferred
-///   substrate; the name is shared with the pooled counters, where the
-///   top rung happens to be parallel);
+/// * [`DegradationRung::FpTree`] — the preferred substrate;
 /// * [`DegradationRung::Vertical`] — a full-range [`VerticalIndex`]
 ///   twin, built lazily on first degradation (one extra database scan,
 ///   recorded in [`CountingStats::db_scans`]);
@@ -479,7 +490,7 @@ impl<'a> FpTreeCounter<'a> {
                 db_scans: 2,
                 ..CountingStats::default()
             },
-            rung: DegradationRung::Parallel,
+            rung: DegradationRung::FpTree,
         }
     }
 
@@ -488,8 +499,7 @@ impl<'a> FpTreeCounter<'a> {
         &self.tree
     }
 
-    /// The ladder rung the next batch will be answered from
-    /// (`Parallel` denotes the FP-tree rung).
+    /// The ladder rung the next batch will be answered from.
     pub fn rung(&self) -> DegradationRung {
         self.rung
     }
@@ -500,8 +510,7 @@ impl<'a> FpTreeCounter<'a> {
         let Some(budget) = probe.arena_budget_bytes() else {
             return;
         };
-        if self.rung == DegradationRung::Parallel
-            && self.tree.projection_bytes(sets) > budget as u64
+        if self.rung == DegradationRung::FpTree && self.tree.projection_bytes(sets) > budget as u64
         {
             self.rung = DegradationRung::Vertical;
         }
@@ -553,7 +562,7 @@ impl MintermCounter for FpTreeCounter<'_> {
             .unwrap_or(0);
         self.apply_ladder(probe, sets, depths);
         let outcome = match self.rung {
-            DegradationRung::Parallel => self.tree.minterm_counts_batch_guarded(sets, probe),
+            DegradationRung::FpTree => self.tree.minterm_counts_batch_guarded(sets, probe),
             DegradationRung::Vertical => {
                 self.stats.degraded_batches += 1;
                 self.seq_index().minterm_counts_batch_guarded(sets, probe)
@@ -775,7 +784,7 @@ mod tests {
             c.minterm_counts_batch_guarded(&sets, &NoProbe).unwrap(),
             expected
         );
-        assert_eq!(c.rung(), DegradationRung::Parallel);
+        assert_eq!(c.rung(), DegradationRung::FpTree);
         assert_eq!(c.stats().degraded_batches, 0);
 
         // A budget too small for the projections but big enough for one

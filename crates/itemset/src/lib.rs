@@ -9,14 +9,6 @@
 //! * [`counting`] — pluggable minterm (contingency-cell) counting with work
 //!   accounting, in both paper-faithful horizontal-scan and fast vertical
 //!   flavours,
-//! * [`pool`] — a persistent, dependency-free work-stealing worker pool,
-//! * [`parallel`] — a data-parallel horizontal counter on the pool,
-//! * [`vertical_par`] — vertical batch counting fanned out over
-//!   prefix-equivalence classes on the pool, with a memory-pressure
-//!   degradation ladder,
-//! * [`sharded`] — vertical batch counting over horizontally sharded
-//!   tid ranges: per-shard cores and arenas, per-shard contingency
-//!   tables merged elementwise into exact whole-database tables,
 //! * [`fptree`] — pattern-growth counting over a compressed prefix
 //!   tree: conditional projections memoized per batch, for dense
 //!   low-cardinality databases where tid-set intersection pays per
@@ -33,24 +25,16 @@ pub mod database;
 pub mod fptree;
 pub mod item;
 pub mod itemset;
-pub mod parallel;
-pub mod pool;
-pub mod sharded;
 pub mod tidset;
 pub mod vertical;
-pub mod vertical_par;
 
 pub use counting::{
     BatchInterrupted, CountProbe, CountingStats, HorizontalCounter, MintermCounter, NoProbe,
     VerticalCounter,
 };
 pub use database::TransactionDb;
-pub use fptree::{FpTree, FpTreeCounter};
+pub use fptree::{DegradationRung, FpTree, FpTreeCounter};
 pub use item::Item;
 pub use itemset::Itemset;
-pub use parallel::ParallelCounter;
-pub use pool::WorkerPool;
-pub use sharded::{ShardedVerticalCounter, ShardedVerticalIndex};
 pub use tidset::TidSet;
 pub use vertical::VerticalIndex;
-pub use vertical_par::{DegradationRung, ParallelVerticalCounter, ParallelVerticalIndex};

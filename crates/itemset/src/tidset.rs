@@ -468,8 +468,9 @@ impl TidSet {
     }
 
     /// Debug-build invariant check: padding bits are zero and every
-    /// superblock hint matches its words. Compiled to nothing in release.
-    #[cfg(debug_assertions)]
+    /// superblock hint matches its words. Compiled to nothing in release,
+    /// except for the unit tests, which call it under every profile.
+    #[cfg(any(debug_assertions, test))]
     pub(crate) fn debug_check_invariants(&self) {
         let mut reference = self.clone();
         reference.clear_tail();

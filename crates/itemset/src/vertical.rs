@@ -25,17 +25,8 @@
 //! class-shared quantities — the node total `|L|` and the per-item
 //! counts `|L ∩ a|` — are computed once, so each member's marginal cost
 //! is a single triple-intersection popcount pass per leaf.
-//!
-//! Internally the immutable state (tid-sets + universe) lives in a
-//! [`VerticalCore`] behind an `Arc`, and a level batch is planned into
-//! self-contained [`OwnedClass`] work units. That split is what lets
-//! [`crate::vertical_par::ParallelVerticalIndex`] fan the same classes
-//! out across a worker pool — each worker shares the core, owns its own
-//! scratch arena, and counts disjoint classes — while this type stays
-//! the single-threaded fast path with zero behavioural change.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use crate::counting::{BatchInterrupted, CountProbe, NoProbe};
 use crate::database::TransactionDb;
@@ -43,245 +34,107 @@ use crate::item::Item;
 use crate::itemset::Itemset;
 use crate::tidset::TidSet;
 
-/// The immutable heart of a vertical index: per-item tid-sets plus the
-/// cached universe bitmap. Shared (via `Arc`) between [`VerticalIndex`]
-/// and the parallel batch engine — every method takes `&self`, so any
-/// number of threads may count against one core concurrently, each with
-/// its own scratch arena.
+/// One prefix-equivalence class of a level batch: the shared
+/// `(k-2)`-item prefix, the distinct suffix items appearing in any
+/// member's final `(a, b)` pair, the members as `(index of a, index of
+/// b)` into `items`, and each member's destination row in the batch's
+/// results. Member `j`'s counts are written to local output row `j`; the
+/// caller scatters local rows to `rows[j]`. Indexing (instead of
+/// hashing) lets every leaf fill a flat per-item count buffer with one
+/// pass per distinct item.
 #[derive(Debug)]
-pub(crate) struct VerticalCore {
-    n_transactions: usize,
-    tidsets: Vec<TidSet>,
-    /// Cached `TidSet::full(n)` — the root of every split recursion.
-    universe: TidSet,
+struct PrefixClass {
+    prefix: Vec<Item>,
+    items: Vec<Item>,
+    members: Vec<(u32, u32)>,
+    rows: Vec<usize>,
 }
 
-/// One prefix-equivalence class of a level batch, owning its data so it
-/// can cross a thread boundary: the shared `(k-2)`-item prefix, the
-/// distinct suffix items appearing in any member's final `(a, b)` pair,
-/// the members as `(index of a, index of b)` into `items`, and each
-/// member's destination row in the batch's results. Member `j`'s counts
-/// are written to local output row `j`; the caller scatters local rows
-/// to `rows[j]`. Indexing (instead of hashing) lets every leaf fill a
-/// flat per-item count buffer with one pass per distinct item.
-#[derive(Debug, Clone)]
-pub(crate) struct OwnedClass {
-    pub(crate) prefix: Vec<Item>,
-    pub(crate) items: Vec<Item>,
-    pub(crate) members: Vec<(u32, u32)>,
-    pub(crate) rows: Vec<usize>,
-}
-
-impl OwnedClass {
+impl PrefixClass {
     /// Cells per member table: all members share `k = prefix + 2` items.
-    pub(crate) fn table_len(&self) -> usize {
+    fn table_len(&self) -> usize {
         1usize << (self.prefix.len() + 2)
     }
 
     /// Total cells this class produces (its work-budget charge).
-    pub(crate) fn cells(&self) -> u64 {
+    fn cells(&self) -> u64 {
         (self.members.len() * self.table_len()) as u64
     }
-
-    /// Rough cost estimate in 64-bit bitmap words touched: per leaf of
-    /// the prefix tree, one node popcount + one split, one pass per
-    /// distinct item, and one triple pass per member. Used by the
-    /// parallel engine's sequential-fallback work floor.
-    pub(crate) fn estimated_word_ops(&self, n_transactions: usize) -> u64 {
-        let words = n_transactions.div_ceil(64).max(1) as u64;
-        let leaves = 1u64 << self.prefix.len();
-        leaves * (2 + self.items.len() as u64 + self.members.len() as u64) * words
-    }
 }
 
-/// A planned level batch: the non-trivial candidates of a
-/// [`minterm_counts_batch`](VerticalIndex::minterm_counts_batch) call,
-/// grouped into prefix-equivalence classes (deterministic `BTreeMap`
-/// prefix order). Trivial 0-/1-item sets were already answered inline
-/// during planning.
-pub(crate) struct LevelPlan {
-    pub(crate) classes: Vec<OwnedClass>,
+/// Per-item tid-sets for a transaction database.
+#[derive(Debug, Clone)]
+pub struct VerticalIndex {
+    n_transactions: usize,
+    tidsets: Vec<TidSet>,
+    /// Cached `TidSet::full(n)` — the root of every split recursion.
+    universe: TidSet,
+    /// Depth-indexed arena: slots `2d` / `2d+1` hold the with/without
+    /// bitmaps of recursion depth `d`. Grown on demand, reused across
+    /// tables.
+    scratch: Vec<TidSet>,
 }
 
-/// A trivial (0-/1-item) candidate of a level batch: its destination
-/// row and its single item, if any. Trivial sets never walk a split
-/// tree — they are answered from whole-database totals, which is what
-/// lets the sharded engine answer them from *summed* per-shard totals
-/// instead of any single core.
-pub(crate) struct TrivialSet {
-    pub(crate) row: usize,
-    pub(crate) item: Option<Item>,
-}
-
-/// Answers one trivial set into its (zeroed) result row given the
-/// database-wide transaction count and the item's database-wide
-/// support, recording the completed table in `done`.
-pub(crate) fn answer_trivial(
-    trivial: &TrivialSet,
-    n_transactions: u64,
-    item_support: u64,
-    results: &mut [Vec<u64>],
-    done: &mut BatchInterrupted,
-) {
-    let row = &mut results[trivial.row];
-    match trivial.item {
-        None => {
-            row[0] = n_transactions;
-            done.cells_completed += 1;
-        }
-        Some(_) => {
-            row[1] = item_support;
-            row[0] = n_transactions - item_support;
-            done.cells_completed += 2;
-        }
-    }
-    done.tables_completed += 1;
-}
-
-/// Splits `sets` into trivial 0-/1-item candidates and prefix-equivalence
-/// classes, without touching any counts. Pure grouping — shared by every
-/// engine (sequential, pool-parallel, sharded) so the class structure is
-/// identical no matter how the counting itself is distributed.
-pub(crate) fn group_classes(sets: &[Itemset]) -> (Vec<TrivialSet>, LevelPlan) {
-    let mut trivial = Vec::new();
-    let mut grouped: BTreeMap<&[Item], Vec<(usize, Item, Item)>> = BTreeMap::new();
-    for (i, set) in sets.iter().enumerate() {
-        match set.items() {
-            [] => trivial.push(TrivialSet { row: i, item: None }),
-            [a] => trivial.push(TrivialSet {
-                row: i,
-                item: Some(*a),
-            }),
-            [prefix @ .., a, b] => grouped.entry(prefix).or_default().push((i, *a, *b)),
-        }
-    }
-    let classes = grouped
-        .into_iter()
-        .map(|(prefix, raw)| {
-            let mut items: Vec<Item> = raw.iter().flat_map(|&(_, a, b)| [a, b]).collect();
-            items.sort_unstable();
-            items.dedup();
-            // `items` was deduped from exactly these members, so the
-            // search cannot miss.
-            #[allow(clippy::unwrap_used)]
-            let pos = |item: Item| items.binary_search(&item).unwrap() as u32;
-            let members = raw.iter().map(|&(_, a, b)| (pos(a), pos(b))).collect();
-            let rows = raw.iter().map(|&(ci, _, _)| ci).collect();
-            OwnedClass {
-                prefix: prefix.to_vec(),
-                items,
-                members,
-                rows,
-            }
-        })
-        .collect();
-    (trivial, LevelPlan { classes })
-}
-
-/// Groups `sets` into prefix-equivalence classes. Trivial 0-/1-item sets
-/// are answered directly into `results` (no tree walk) from the core's
-/// totals and recorded in `done`; every `results[i]` must arrive zeroed
-/// and sized `2^k`.
-pub(crate) fn plan_level(
-    core: &VerticalCore,
-    sets: &[Itemset],
-    results: &mut [Vec<u64>],
-    done: &mut BatchInterrupted,
-) -> LevelPlan {
-    let (trivial, plan) = group_classes(sets);
-    for t in &trivial {
-        let support = t.item.map_or(0, |a| core.tidsets[a.index()].count() as u64);
-        answer_trivial(t, core.n_transactions as u64, support, results, done);
-    }
-    plan
-}
-
-/// Runs `classes` on the calling thread, scattering counts into
-/// `results` and charging the probe per completed class. Returns `true`
-/// if the probe interrupted the run (completed classes are kept;
-/// partially-walked classes never escape — the in-flight class's rows
-/// are restored untouched before returning).
-pub(crate) fn run_classes_sequential(
-    core: &VerticalCore,
-    classes: &[OwnedClass],
-    probe: &dyn CountProbe,
-    scratch: &mut Vec<TidSet>,
-    results: &mut [Vec<u64>],
-    done: &mut BatchInterrupted,
-) -> bool {
-    let mut item_counts: Vec<usize> = Vec::new();
-    let mut out: Vec<Vec<u64>> = Vec::new();
-    for class in classes {
-        if probe.should_stop() {
-            return true;
-        }
-        // Zero-copy: move each member's (zeroed) result row into the
-        // local output buffer, count, and move it back.
-        out.clear();
-        out.extend(class.rows.iter().map(|&r| std::mem::take(&mut results[r])));
-        core.count_class(class, &mut item_counts, scratch, &mut out);
-        for (local, &r) in out.iter_mut().zip(&class.rows) {
-            results[r] = std::mem::take(local);
-        }
-        done.tables_completed += class.members.len() as u64;
-        done.cells_completed += class.cells();
-        if probe.charge(class.cells()) {
-            return true;
-        }
-    }
-    false
-}
-
-impl VerticalCore {
-    /// Builds the core in a single pass over the database.
-    pub(crate) fn build(db: &TransactionDb) -> Self {
-        Self::build_range(db, 0, db.len())
-    }
-
-    /// Builds a core over the transaction slice `start..end` only: shard
-    /// `tid` maps to database transaction `start + tid`, and every
-    /// bitmap has capacity `end - start`. This is the horizontal-sharding
-    /// primitive — a [`crate::sharded::ShardedVerticalIndex`] holds one
-    /// such core per disjoint range, and elementwise sums of the
-    /// per-shard contingency tables reproduce the whole-database tables
-    /// exactly (every transaction lives in exactly one shard).
-    pub(crate) fn build_range(db: &TransactionDb, start: usize, end: usize) -> Self {
-        debug_assert!(start <= end && end <= db.len());
-        let n = end - start;
+impl VerticalIndex {
+    /// Builds the index in a single pass over the database.
+    pub fn build(db: &TransactionDb) -> Self {
+        let n = db.len();
         let mut tidsets = vec![TidSet::new(n); db.n_items() as usize];
-        for (tid, t) in db.transactions().enumerate().skip(start).take(n) {
+        for (tid, t) in db.transactions().enumerate() {
             for item in t {
-                tidsets[item.index()].insert(tid - start);
+                tidsets[item.index()].insert(tid);
             }
         }
         #[cfg(debug_assertions)]
         for ts in &tidsets {
             ts.debug_check_invariants();
         }
-        VerticalCore {
+        VerticalIndex {
             n_transactions: n,
             tidsets,
             universe: TidSet::full(n),
+            scratch: Vec::new(),
         }
     }
 
+    /// Number of transactions in the indexed database.
     #[inline]
-    pub(crate) fn n_transactions(&self) -> usize {
+    pub fn n_transactions(&self) -> usize {
         self.n_transactions
     }
 
+    /// The scratch-arena footprint, in bytes, that counting tables over
+    /// `depths` shared-prefix recursion levels requires for a database of
+    /// `n_transactions` rows: two bitmaps per depth, each padded to whole
+    /// cache-line superblocks and carrying its per-superblock population
+    /// hints (see [`TidSet`]'s module docs). A `k`-itemset needs `k - 2`
+    /// depths. Used by memory-budget checks *before* the arena grows.
+    pub fn scratch_bytes(n_transactions: usize, depths: usize) -> usize {
+        use crate::tidset::{SUPERBLOCK_BITS, SUPERBLOCK_WORDS};
+        let supers = n_transactions.div_ceil(SUPERBLOCK_BITS);
+        let per_bitmap = supers * SUPERBLOCK_WORDS * std::mem::size_of::<u64>()
+            + supers * std::mem::size_of::<u32>();
+        2 * depths * per_bitmap
+    }
+
+    /// Number of items in the universe.
     #[inline]
-    pub(crate) fn n_items(&self) -> usize {
+    pub fn n_items(&self) -> usize {
         self.tidsets.len()
     }
 
+    /// The tid-set of a single item.
     #[inline]
-    pub(crate) fn tidset(&self, item: Item) -> &TidSet {
+    pub fn tidset(&self, item: Item) -> &TidSet {
         &self.tidsets[item.index()]
     }
 
     /// Absolute support of an itemset via tid-set intersection.
-    pub(crate) fn support(&self, set: &Itemset) -> usize {
+    ///
+    /// Sized to its input: the 0- and 1-item cases are pure lookups, the
+    /// 2-item case is an allocation-free [`TidSet::intersection_count`],
+    /// and larger sets fold into a single reused accumulator.
+    pub fn support(&self, set: &Itemset) -> usize {
         let items = set.items();
         match items {
             [] => self.n_transactions,
@@ -300,11 +153,13 @@ impl VerticalCore {
         }
     }
 
-    /// Exact threshold test `support(set) >= s` with a bounded early
-    /// exit: the final popcount stops as soon as `s` matching
-    /// transactions have been seen, so a set far above the threshold
-    /// never scans its whole tid-set.
-    pub(crate) fn support_at_least(&self, set: &Itemset, s: usize) -> bool {
+    /// Exact `support(set) >= s` threshold test with a bounded early
+    /// exit ([`TidSet::intersection_count_limited`]): the final popcount
+    /// stops as soon as `s` matching transactions have been seen. This
+    /// is the fast path for the CT-support `s`-threshold check — a
+    /// candidate far above the significance floor never scans its whole
+    /// tid-set.
+    pub fn support_at_least(&self, set: &Itemset, s: usize) -> bool {
         if s == 0 {
             return true;
         }
@@ -327,18 +182,208 @@ impl VerticalCore {
         }
     }
 
+    /// Counts all `2^k` minterms (contingency-table cells) of a `k`-itemset.
+    ///
+    /// Cell indexing: for the sorted items `s_0 < … < s_{k-1}` of `set`, the
+    /// count at index `c` is the number of transactions that contain exactly
+    /// the items `{ s_j | bit j of c is 1 }` among the items of `set`
+    /// (other items are unconstrained). Index `2^k - 1` is "all present",
+    /// index `0` is "none present".
+    ///
+    /// Runs in `O(2^k · n/64)` via recursive tid-set splitting. The only
+    /// heap allocation per call is the returned counts vector: interior
+    /// nodes use the scratch arena and the final item pair is finished
+    /// with fused popcount kernels, never materialising a bitmap.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `set.len() > 20` (a `2^k` table would be astronomically
+    /// large; the miners never get near this).
+    pub fn minterm_counts(&mut self, set: &Itemset) -> Vec<u64> {
+        let k = set.len();
+        assert!(k <= 20, "refusing to build a 2^{k}-cell contingency table");
+        let mut counts = vec![0u64; 1usize << k];
+        match set.items() {
+            [] => counts[0] = self.n_transactions as u64,
+            [a] => {
+                let with = self.tidset(*a).count() as u64;
+                counts[1] = with;
+                counts[0] = self.n_transactions as u64 - with;
+            }
+            [prefix @ .., a, b] => {
+                // Itemset items are sorted and distinct, so [a, b] is
+                // already a valid deduped suffix-item list.
+                let class = PrefixClass {
+                    prefix: prefix.to_vec(),
+                    items: vec![*a, *b],
+                    members: vec![(0, 1)],
+                    rows: vec![0],
+                };
+                let mut item_counts = vec![0usize; 2];
+                let mut out = [counts];
+                let mut scratch = std::mem::take(&mut self.scratch);
+                self.count_class(&class, &mut item_counts, &mut scratch, &mut out);
+                self.scratch = scratch;
+                let [c] = out;
+                counts = c;
+            }
+        }
+        counts
+    }
+
+    /// Batch minterm counting with Eclat-style prefix sharing.
+    ///
+    /// Candidates are grouped into equivalence classes by their
+    /// `(k-2)`-item prefix (the class key of the sorted item list minus
+    /// its last two elements). Each class walks the prefix's split tree
+    /// **once**; at every one of its `2^(k-2)` leaves the node total and
+    /// the per-item intersection counts are computed once for the whole
+    /// class, so a member's marginal cost is a single
+    /// [`TidSet::triple_intersection_count`] pass per leaf — its four
+    /// cells follow by inclusion–exclusion. A level of `m` same-prefix
+    /// candidates thus costs one tree walk plus `m` fused popcount
+    /// passes per leaf instead of `m` full tree walks.
+    ///
+    /// Results are returned in input order; sets of mixed sizes are
+    /// allowed (each size/prefix combination forms its own class).
+    pub fn minterm_counts_batch(&mut self, sets: &[Itemset]) -> Vec<Vec<u64>> {
+        match self.minterm_counts_batch_guarded(sets, &NoProbe) {
+            Ok(results) => results,
+            Err(_) => unreachable!("NoProbe never interrupts"),
+        }
+    }
+
+    /// [`minterm_counts_batch`](Self::minterm_counts_batch) with a
+    /// cooperative-interruption probe consulted at prefix-class
+    /// boundaries: before each equivalence class is walked the probe's
+    /// `should_stop` is checked, and after each class completes its cells
+    /// are charged against the work budget. On interruption the batch is
+    /// abandoned with a [`BatchInterrupted`] recording the tables and
+    /// cells that *did* fully complete (trivial 0-/1-item sets plus every
+    /// finished class); partially-walked classes are discarded.
+    pub fn minterm_counts_batch_guarded(
+        &mut self,
+        sets: &[Itemset],
+        probe: &dyn CountProbe,
+    ) -> Result<Vec<Vec<u64>>, BatchInterrupted> {
+        let mut results = alloc_results(sets);
+        let mut done = BatchInterrupted::default();
+        let classes = self.plan_level(sets, &mut results, &mut done);
+        if done.cells_completed > 0 && probe.charge(done.cells_completed) && !classes.is_empty() {
+            return Err(done);
+        }
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let interrupted = self.run_classes(&classes, probe, &mut scratch, &mut results, &mut done);
+        self.scratch = scratch;
+        if interrupted && done.tables_completed < sets.len() as u64 {
+            Err(done)
+        } else {
+            Ok(results)
+        }
+    }
+
+    /// Groups `sets` into prefix-equivalence classes (deterministic
+    /// `BTreeMap` prefix order). Trivial 0-/1-item sets never walk a
+    /// split tree: they are answered directly into `results` from the
+    /// index's totals and recorded in `done`. Every `results[i]` must
+    /// arrive zeroed and sized `2^k`.
+    fn plan_level(
+        &self,
+        sets: &[Itemset],
+        results: &mut [Vec<u64>],
+        done: &mut BatchInterrupted,
+    ) -> Vec<PrefixClass> {
+        let n = self.n_transactions as u64;
+        let mut grouped: BTreeMap<&[Item], Vec<(usize, Item, Item)>> = BTreeMap::new();
+        for (i, set) in sets.iter().enumerate() {
+            match set.items() {
+                [] => {
+                    results[i][0] = n;
+                    done.cells_completed += 1;
+                    done.tables_completed += 1;
+                }
+                [a] => {
+                    let support = self.tidset(*a).count() as u64;
+                    results[i][1] = support;
+                    results[i][0] = n - support;
+                    done.cells_completed += 2;
+                    done.tables_completed += 1;
+                }
+                [prefix @ .., a, b] => grouped.entry(prefix).or_default().push((i, *a, *b)),
+            }
+        }
+        grouped
+            .into_iter()
+            .map(|(prefix, raw)| {
+                let mut items: Vec<Item> = raw.iter().flat_map(|&(_, a, b)| [a, b]).collect();
+                items.sort_unstable();
+                items.dedup();
+                // `items` was deduped from exactly these members, so the
+                // search cannot miss.
+                #[allow(clippy::unwrap_used)]
+                let pos = |item: Item| items.binary_search(&item).unwrap() as u32;
+                let members = raw.iter().map(|&(_, a, b)| (pos(a), pos(b))).collect();
+                let rows = raw.iter().map(|&(ci, _, _)| ci).collect();
+                PrefixClass {
+                    prefix: prefix.to_vec(),
+                    items,
+                    members,
+                    rows,
+                }
+            })
+            .collect()
+    }
+
+    /// Runs `classes` in order, scattering counts into `results` and
+    /// charging the probe per completed class. Returns `true` if the
+    /// probe interrupted the run (completed classes are kept;
+    /// partially-walked classes never escape — the in-flight class's rows
+    /// are restored untouched before returning).
+    fn run_classes(
+        &self,
+        classes: &[PrefixClass],
+        probe: &dyn CountProbe,
+        scratch: &mut Vec<TidSet>,
+        results: &mut [Vec<u64>],
+        done: &mut BatchInterrupted,
+    ) -> bool {
+        let mut item_counts: Vec<usize> = Vec::new();
+        let mut out: Vec<Vec<u64>> = Vec::new();
+        for class in classes {
+            if probe.should_stop() {
+                return true;
+            }
+            // Zero-copy: move each member's (zeroed) result row into the
+            // local output buffer, count, and move it back.
+            out.clear();
+            out.extend(class.rows.iter().map(|&r| std::mem::take(&mut results[r])));
+            self.count_class(class, &mut item_counts, scratch, &mut out);
+            for (local, &r) in out.iter_mut().zip(&class.rows) {
+                results[r] = std::mem::take(local);
+            }
+            done.tables_completed += class.members.len() as u64;
+            done.cells_completed += class.cells();
+            if probe.charge(class.cells()) {
+                return true;
+            }
+        }
+        false
+    }
+
     /// Counts one class into `out`, where `out[j]` is member `j`'s
     /// zeroed `2^k`-cell table. Grows `scratch`/`item_counts` on demand;
     /// both are reused across calls.
-    pub(crate) fn count_class(
+    fn count_class(
         &self,
-        class: &OwnedClass,
+        class: &PrefixClass,
         item_counts: &mut Vec<usize>,
         scratch: &mut Vec<TidSet>,
         out: &mut [Vec<u64>],
     ) {
         debug_assert_eq!(out.len(), class.members.len());
-        self.ensure_scratch(scratch, class.prefix.len());
+        while scratch.len() < 2 * class.prefix.len() {
+            scratch.push(TidSet::new(self.n_transactions));
+        }
         if item_counts.len() < class.items.len() {
             item_counts.resize(class.items.len(), 0);
         }
@@ -367,7 +412,7 @@ impl VerticalCore {
         prefix: &[Item],
         depth: usize,
         mask: usize,
-        class: &OwnedClass,
+        class: &PrefixClass,
         item_counts: &mut [usize],
         scratch: &mut [TidSet],
         out: &mut [Vec<u64>],
@@ -446,217 +491,6 @@ impl VerticalCore {
                     out,
                 );
             }
-        }
-    }
-
-    /// Grows `scratch` to cover `depths` recursion levels (two slots
-    /// each).
-    pub(crate) fn ensure_scratch(&self, scratch: &mut Vec<TidSet>, depths: usize) {
-        while scratch.len() < 2 * depths {
-            scratch.push(TidSet::new(self.n_transactions));
-        }
-    }
-}
-
-/// Per-item tid-sets for a transaction database.
-#[derive(Debug, Clone)]
-pub struct VerticalIndex {
-    core: Arc<VerticalCore>,
-    /// Depth-indexed arena: slots `2d` / `2d+1` hold the with/without
-    /// bitmaps of recursion depth `d`. Grown on demand, reused across
-    /// tables. Cloning the index shares the (immutable) core but gives
-    /// the clone a fresh arena.
-    scratch: Vec<TidSet>,
-}
-
-impl VerticalIndex {
-    /// Builds the index in a single pass over the database.
-    pub fn build(db: &TransactionDb) -> Self {
-        VerticalIndex {
-            core: Arc::new(VerticalCore::build(db)),
-            scratch: Vec::new(),
-        }
-    }
-
-    /// Wraps an existing shared core (same tid-sets, fresh arena).
-    pub(crate) fn from_core(core: Arc<VerticalCore>) -> Self {
-        VerticalIndex {
-            core,
-            scratch: Vec::new(),
-        }
-    }
-
-    /// The shared immutable core, for engines that fan work out across
-    /// threads.
-    pub(crate) fn core(&self) -> &Arc<VerticalCore> {
-        &self.core
-    }
-
-    /// Number of transactions in the indexed database.
-    #[inline]
-    pub fn n_transactions(&self) -> usize {
-        self.core.n_transactions()
-    }
-
-    /// The scratch-arena footprint, in bytes, that counting tables over
-    /// `depths` shared-prefix recursion levels requires for a database of
-    /// `n_transactions` rows: two bitmaps per depth, each padded to whole
-    /// cache-line superblocks and carrying its per-superblock population
-    /// hints (see [`TidSet`]'s module docs). A `k`-itemset needs `k - 2`
-    /// depths. Used by memory-budget checks *before* the arena grows.
-    /// Parallel engines multiply by their worker count — each worker owns
-    /// a full arena; the sharded engine sums the per-shard arenas, which
-    /// together cover the tid range once.
-    pub fn scratch_bytes(n_transactions: usize, depths: usize) -> usize {
-        use crate::tidset::{SUPERBLOCK_BITS, SUPERBLOCK_WORDS};
-        let supers = n_transactions.div_ceil(SUPERBLOCK_BITS);
-        let per_bitmap = supers * SUPERBLOCK_WORDS * std::mem::size_of::<u64>()
-            + supers * std::mem::size_of::<u32>();
-        2 * depths * per_bitmap
-    }
-
-    /// Number of items in the universe.
-    #[inline]
-    pub fn n_items(&self) -> usize {
-        self.core.n_items()
-    }
-
-    /// The tid-set of a single item.
-    #[inline]
-    pub fn tidset(&self, item: Item) -> &TidSet {
-        self.core.tidset(item)
-    }
-
-    /// Absolute support of an itemset via tid-set intersection.
-    ///
-    /// Sized to its input: the 0- and 1-item cases are pure lookups, the
-    /// 2-item case is an allocation-free [`TidSet::intersection_count`],
-    /// and larger sets fold into a single reused accumulator.
-    pub fn support(&self, set: &Itemset) -> usize {
-        self.core.support(set)
-    }
-
-    /// Exact `support(set) >= s` threshold test with a bounded early
-    /// exit ([`TidSet::intersection_count_limited`]): the final popcount
-    /// stops as soon as `s` matching transactions have been seen. This
-    /// is the fast path for the CT-support `s`-threshold check — a
-    /// candidate far above the significance floor never scans its whole
-    /// tid-set.
-    pub fn support_at_least(&self, set: &Itemset, s: usize) -> bool {
-        self.core.support_at_least(set, s)
-    }
-
-    /// Counts all `2^k` minterms (contingency-table cells) of a `k`-itemset.
-    ///
-    /// Cell indexing: for the sorted items `s_0 < … < s_{k-1}` of `set`, the
-    /// count at index `c` is the number of transactions that contain exactly
-    /// the items `{ s_j | bit j of c is 1 }` among the items of `set`
-    /// (other items are unconstrained). Index `2^k - 1` is "all present",
-    /// index `0` is "none present".
-    ///
-    /// Runs in `O(2^k · n/64)` via recursive tid-set splitting. The only
-    /// heap allocation per call is the returned counts vector: interior
-    /// nodes use the scratch arena and the final item pair is finished
-    /// with fused popcount kernels, never materialising a bitmap.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `set.len() > 20` (a `2^k` table would be astronomically
-    /// large; the miners never get near this).
-    pub fn minterm_counts(&mut self, set: &Itemset) -> Vec<u64> {
-        let k = set.len();
-        assert!(k <= 20, "refusing to build a 2^{k}-cell contingency table");
-        let mut counts = vec![0u64; 1usize << k];
-        match set.items() {
-            [] => counts[0] = self.core.n_transactions() as u64,
-            [a] => {
-                let with = self.core.tidset(*a).count() as u64;
-                counts[1] = with;
-                counts[0] = self.core.n_transactions() as u64 - with;
-            }
-            [prefix @ .., a, b] => {
-                // Itemset items are sorted and distinct, so [a, b] is
-                // already a valid deduped suffix-item list.
-                let class = OwnedClass {
-                    prefix: prefix.to_vec(),
-                    items: vec![*a, *b],
-                    members: vec![(0, 1)],
-                    rows: vec![0],
-                };
-                let mut item_counts = vec![0usize; 2];
-                let mut out = [counts];
-                self.core
-                    .count_class(&class, &mut item_counts, &mut self.scratch, &mut out);
-                let [c] = out;
-                counts = c;
-            }
-        }
-        counts
-    }
-
-    /// Batch minterm counting with Eclat-style prefix sharing.
-    ///
-    /// Candidates are grouped into equivalence classes by their
-    /// `(k-2)`-item prefix (the class key of the sorted item list minus
-    /// its last two elements). Each class walks the prefix's split tree
-    /// **once**; at every one of its `2^(k-2)` leaves the node total and
-    /// the per-item intersection counts are computed once for the whole
-    /// class, so a member's marginal cost is a single
-    /// [`TidSet::triple_intersection_count`] pass per leaf — its four
-    /// cells follow by inclusion–exclusion. A level of `m` same-prefix
-    /// candidates thus costs one tree walk plus `m` fused popcount
-    /// passes per leaf instead of `m` full tree walks.
-    ///
-    /// Results are returned in input order; sets of mixed sizes are
-    /// allowed (each size/prefix combination forms its own class).
-    pub fn minterm_counts_batch(&mut self, sets: &[Itemset]) -> Vec<Vec<u64>> {
-        match self.minterm_counts_batch_guarded(sets, &NoProbe) {
-            Ok(results) => results,
-            Err(_) => unreachable!("NoProbe never interrupts"),
-        }
-    }
-
-    /// [`minterm_counts_batch`](Self::minterm_counts_batch) with a
-    /// cooperative-interruption probe consulted at prefix-class
-    /// boundaries: before each equivalence class is walked the probe's
-    /// `should_stop` is checked, and after each class completes its cells
-    /// are charged against the work budget. On interruption the batch is
-    /// abandoned with a [`BatchInterrupted`] recording the tables and
-    /// cells that *did* fully complete (trivial 0-/1-item sets plus every
-    /// finished class); partially-walked classes are discarded.
-    pub fn minterm_counts_batch_guarded(
-        &mut self,
-        sets: &[Itemset],
-        probe: &dyn CountProbe,
-    ) -> Result<Vec<Vec<u64>>, BatchInterrupted> {
-        let mut results = alloc_results(sets);
-        let mut done = BatchInterrupted::default();
-        let plan = plan_level(&self.core, sets, &mut results, &mut done);
-        if done.cells_completed > 0
-            && probe.charge(done.cells_completed)
-            && !plan.classes.is_empty()
-        {
-            return Err(done);
-        }
-        let max_prefix = plan
-            .classes
-            .iter()
-            .map(|c| c.prefix.len())
-            .max()
-            .unwrap_or(0);
-        self.core.ensure_scratch(&mut self.scratch, max_prefix);
-        let interrupted = run_classes_sequential(
-            &self.core,
-            &plan.classes,
-            probe,
-            &mut self.scratch,
-            &mut results,
-            &mut done,
-        );
-        if interrupted && done.tables_completed < sets.len() as u64 {
-            Err(done)
-        } else {
-            Ok(results)
         }
     }
 }
@@ -844,19 +678,6 @@ mod tests {
         assert_eq!(v.scratch.len(), arena_after_first);
         assert_eq!(first, again);
         assert_eq!(smaller.iter().sum::<u64>(), 5);
-    }
-
-    #[test]
-    fn clone_shares_the_core_but_not_the_arena() {
-        let d = db();
-        let mut v = VerticalIndex::build(&d);
-        let _ = v.minterm_counts(&Itemset::from_ids([0, 1]));
-        let mut clone = v.clone();
-        assert!(Arc::ptr_eq(v.core(), clone.core()));
-        assert_eq!(
-            clone.minterm_counts(&Itemset::from_ids([0, 1])),
-            v.minterm_counts(&Itemset::from_ids([0, 1]))
-        );
     }
 
     #[test]

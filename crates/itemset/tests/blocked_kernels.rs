@@ -5,12 +5,7 @@
 //! one of them must remain bit-identical to the obvious scalar model —
 //! a sorted set of tids — across capacities that exercise partial tail
 //! blocks (capacity ∤ 64), partial tail superblocks (capacity ∤ 512),
-//! and multi-superblock bitmaps. On top of the kernels, the horizontally
-//! sharded index must merge per-shard contingency tables into exactly
-//! the unsharded counts for shard counts that do not divide anything
-//! evenly, and [`CountingStats`] shard-merge must be associative and
-//! order-independent, since per-shard deltas arrive in whatever order
-//! the pool finishes them.
+//! and multi-superblock bitmaps.
 
 #![allow(clippy::unwrap_used)]
 
@@ -18,10 +13,7 @@ use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 
-use ccs_itemset::{
-    CountingStats, Itemset, MintermCounter, ShardedVerticalIndex, TidSet, TransactionDb,
-    VerticalCounter,
-};
+use ccs_itemset::TidSet;
 
 /// Capacities biased toward the layout's seams: block boundaries (64),
 /// superblock boundaries (512), and their immediate neighbourhoods,
@@ -119,98 +111,5 @@ proptest! {
         let mut d = a.clone();
         d.subtract(&b);
         prop_assert_eq!(collect(&d), model_without);
-    }
-}
-
-const N_ITEMS: u32 = 8;
-
-fn db_strategy() -> impl Strategy<Value = TransactionDb> {
-    proptest::collection::vec(proptest::collection::vec(0u32..N_ITEMS, 0..7), 0..80)
-        .prop_map(|txns| TransactionDb::from_ids(N_ITEMS, txns))
-}
-
-fn sets_strategy() -> impl Strategy<Value = Vec<Itemset>> {
-    proptest::collection::vec(
-        proptest::collection::btree_set(0u32..N_ITEMS, 1..=5usize),
-        1..10,
-    )
-    .prop_map(|sets| sets.into_iter().map(Itemset::from_ids).collect())
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
-
-    #[test]
-    fn shard_merged_counts_match_the_unsharded_index(
-        (db, sets) in (db_strategy(), sets_strategy())
-    ) {
-        let mut reference = VerticalCounter::new(&db);
-        let expected = reference.minterm_counts_batch(&sets);
-        // Deliberately non-power-of-two shard counts: boundaries land
-        // mid-superblock and shard lengths come out unequal.
-        for shards in [1usize, 2, 3, 7] {
-            let mut index = ShardedVerticalIndex::build_with_shards_and_workers(&db, shards, 2);
-            index.set_work_floor(0);
-            prop_assert_eq!(
-                &index.minterm_counts_batch(&sets),
-                &expected,
-                "{} shards diverged", shards
-            );
-        }
-    }
-}
-
-fn stats_strategy() -> impl Strategy<Value = CountingStats> {
-    // Small enough that no sum of eight can overflow.
-    let f = 0u64..1 << 20;
-    (f.clone(), f.clone(), f.clone(), f.clone(), f.clone(), f).prop_map(
-        |(
-            tables_built,
-            db_scans,
-            transactions_visited,
-            cells_counted,
-            cache_hits,
-            degraded_batches,
-        )| {
-            CountingStats {
-                tables_built,
-                db_scans,
-                transactions_visited,
-                cells_counted,
-                cache_hits,
-                degraded_batches,
-            }
-        },
-    )
-}
-
-fn sum(deltas: &[CountingStats]) -> CountingStats {
-    let mut acc = CountingStats::default();
-    for d in deltas {
-        acc += d;
-    }
-    acc
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
-
-    #[test]
-    fn stats_shard_merge_is_associative_and_order_independent(
-        deltas in proptest::collection::vec(stats_strategy(), 1..8),
-        split in 0usize..8,
-    ) {
-        // Order-independence: per-shard deltas arrive in pool completion
-        // order, so any permutation must merge to the same totals.
-        let mut reversed = deltas.clone();
-        reversed.reverse();
-        prop_assert_eq!(sum(&deltas), sum(&reversed));
-
-        // Associativity: merging shard subtotals (as the sharded batch
-        // does per class) equals merging every delta directly.
-        let mid = split.min(deltas.len());
-        let mut grouped = sum(&deltas[..mid]);
-        grouped += sum(&deltas[mid..]);
-        prop_assert_eq!(grouped, sum(&deltas));
     }
 }

@@ -117,6 +117,10 @@ fn to_violation(
     }
 }
 
+/// A finding of the suppression meta-rule: the offending comment's byte
+/// span and the message.
+type MetaFinding = ((usize, usize), String);
+
 /// Finds every `ccs-lint: allow(...)` comment, resolves the line each one
 /// covers, and validates it against the meta-rule: the named rule must
 /// exist and the reason is mandatory. Invalid allows come back as
@@ -126,7 +130,7 @@ fn collect_suppressions(
     toks: &[Tok],
     sig: &[Tok],
     index: &LineIndex,
-) -> (Vec<Suppression>, Vec<((usize, usize), String)>) {
+) -> (Vec<Suppression>, Vec<MetaFinding>) {
     let mut out = Vec::new();
     let mut meta = Vec::new();
     for t in toks {

@@ -16,6 +16,7 @@
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::fs;
+use std::io;
 use std::path::{Path, PathBuf};
 
 use ccs_lint::diag::{to_json, LineIndex};
@@ -40,8 +41,8 @@ fn pretend_path(src: &str, fixture: &Path) -> String {
 }
 
 /// Lints one fixture and renders its full text + JSON reports.
-fn run_fixture(fixture: &Path) -> (String, String, usize) {
-    let src = fs::read_to_string(fixture).expect("read fixture");
+fn run_fixture(fixture: &Path) -> io::Result<(String, String, usize)> {
+    let src = fs::read_to_string(fixture)?;
     let pretend = pretend_path(&src, fixture);
     let report = lint_source(&pretend, &src);
     let index = LineIndex::new(&src);
@@ -57,13 +58,14 @@ fn run_fixture(fixture: &Path) -> (String, String, usize) {
         report.suppressed,
     );
     let json = to_json(&report.violations, 1, report.suppressed);
-    (text, json, report.violations.len())
+    Ok((text, json, report.violations.len()))
 }
 
-fn check_golden(path: &Path, actual: &str) {
+/// Compares `actual` with the golden at `path`, or re-pins the golden
+/// when `CCS_LINT_BLESS` is set (the only I/O that can fail).
+fn check_golden(path: &Path, actual: &str) -> io::Result<()> {
     if std::env::var_os("CCS_LINT_BLESS").is_some() {
-        fs::write(path, actual).expect("bless golden");
-        return;
+        return fs::write(path, actual);
     }
     let expected = fs::read_to_string(path)
         .unwrap_or_else(|_| panic!("{} missing — run with CCS_LINT_BLESS=1", path.display()));
@@ -73,6 +75,7 @@ fn check_golden(path: &Path, actual: &str) {
         "{} diverges from the pinned golden (CCS_LINT_BLESS=1 to re-pin)",
         path.display()
     );
+    Ok(())
 }
 
 #[test]
@@ -90,13 +93,13 @@ fn every_fixture_matches_its_goldens() {
     );
     for fixture in &fixtures {
         let stem = fixture.file_stem().and_then(|s| s.to_str()).expect("stem");
-        let (text, json, n) = run_fixture(fixture);
+        let (text, json, n) = run_fixture(fixture).expect("read fixture");
         assert!(
             n > 0,
             "{stem} seeds no violations — a dead fixture proves nothing"
         );
-        check_golden(&goldens_dir().join(format!("{stem}.txt")), &text);
-        check_golden(&goldens_dir().join(format!("{stem}.json")), &json);
+        check_golden(&goldens_dir().join(format!("{stem}.txt")), &text).expect("bless golden");
+        check_golden(&goldens_dir().join(format!("{stem}.json")), &json).expect("bless golden");
     }
 }
 

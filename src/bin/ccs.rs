@@ -33,6 +33,10 @@ const EXIT_TRUNCATED: u8 = 2;
 const EXIT_ERROR: u8 = 1;
 const EXIT_UNSATISFIABLE: u8 = 3;
 
+/// Flags that selected the removed multi-threaded counting strategies;
+/// they are rejected with a pointer to the surviving `--counting` names.
+const REMOVED_FLAGS: &[&str] = &["--threads", "--shards"];
+
 fn main() -> ExitCode {
     let mut argv = std::env::args().skip(1);
     let cmd = argv.next();
@@ -83,23 +87,21 @@ fn print_usage() {
   ccs mine     --db <file> [--attrs <file>] --query <q> [--algorithm <a>]
                [--measure chi2|all-confidence|bond] [--threshold <f>]
                [--support <f>] [--ct <f>] [--confidence <f>] [--counting <s>]
-               [--threads <N>] [--shards <N>] [--timeout <secs>]
-               [--max-cells <N>] [--max-mem-mb <N>] [--explain]
+               [--timeout <secs>] [--max-cells <N>] [--max-mem-mb <N>] [--explain]
                [--checkpoint <file>] [--checkpoint-every <N>]
                algorithms: bms+ bms++ bms* bms** naive naive-min-valid
                measures:   chi2 (default; --confidence is its threshold
                            spelling), all-confidence, bond — --threshold
                            sets the cutoff for any measure
-               counting:   horizontal vertical parallel vertical-par
-                           sharded fp-tree auto (--strategy is accepted
-                           as an alias; --shards N splits the tid range)
+               counting:   horizontal vertical fp-tree auto (--strategy is
+                           accepted as an alias)
                --checkpoint stamps a crash-safe snapshot at every level
                boundary (every Nth with --checkpoint-every) and on any
                budget trip, so a truncated or killed run can continue
                exits 0 when complete, 2 when truncated by a budget or Ctrl-C
   ccs resume   <checkpoint> --db <file> [--attrs <file>] [--query <q>]
-               [--counting <s>] [--threads <N>] [--shards <N>]
-               [--timeout <secs>] [--max-cells <N>] [--max-mem-mb <N>]
+               [--counting <s>] [--timeout <secs>] [--max-cells <N>]
+               [--max-mem-mb <N>]
                continue an interrupted run from its checkpoint file; the
                snapshot pins the algorithm and the original query, and the
                database must fingerprint-match the one the run started on.
@@ -204,6 +206,13 @@ impl<'a> Flags<'a> {
                     return Err(format!("{key} takes no value"));
                 }
                 continue;
+            }
+            if REMOVED_FLAGS.contains(&key) {
+                return Err(format!(
+                    "{key} was removed: counting runs on one thread; \
+                     --counting takes one of {}",
+                    CountingStrategy::CHOICES
+                ));
             }
             if !known.contains(&key) {
                 return Err(format!("unknown flag '{key}'"));
@@ -392,28 +401,15 @@ fn cmd_analyze(args: &[String]) -> Result<ExitCode, String> {
     }
 }
 
-/// Parses the counting flags shared by `mine` and `resume`.
-fn parse_counting(flags: &Flags<'_>) -> Result<MiningOptions, String> {
+/// Parses the counting flag shared by `mine` and `resume`.
+fn parse_counting(flags: &Flags<'_>) -> Result<CountingStrategy, String> {
     // `--counting` is the canonical flag; `--strategy` remains as an
     // alias for scripts written against older releases.
-    let strategy: CountingStrategy = flags
+    flags
         .get("--counting")
         .or_else(|| flags.get("--strategy"))
         .unwrap_or("horizontal")
-        .parse()?;
-    let threads: Option<usize> = flags.parse_opt("--threads")?;
-    if threads == Some(0) {
-        return Err("--threads must be at least 1".to_owned());
-    }
-    let shards: Option<usize> = flags.parse_opt("--shards")?;
-    if shards == Some(0) {
-        return Err("--shards must be at least 1".to_owned());
-    }
-    Ok(MiningOptions {
-        strategy,
-        threads,
-        shards,
-    })
+        .parse()
 }
 
 /// Builds the run guard shared by `mine` and `resume`: budgets from the
@@ -531,8 +527,6 @@ fn cmd_mine(args: &[String]) -> Result<ExitCode, String> {
             "--algorithm",
             "--counting",
             "--strategy",
-            "--threads",
-            "--shards",
             "--measure",
             "--threshold",
             "--confidence",
@@ -564,7 +558,7 @@ fn cmd_mine(args: &[String]) -> Result<ExitCode, String> {
         "naive-min-valid" => Algorithm::NaiveMinValid,
         other => return Err(format!("unknown algorithm '{other}'")),
     };
-    let options = parse_counting(&flags)?;
+    let strategy = parse_counting(&flags)?;
     let measure: Measure = flags
         .get("--measure")
         .unwrap_or("chi2")
@@ -629,14 +623,14 @@ fn cmd_mine(args: &[String]) -> Result<ExitCode, String> {
     let guard = parse_guard(&flags)?;
     let checkpoint_path = flags.get("--checkpoint");
 
-    let mut request = MineRequest::new(algorithm).options(options).guard(guard);
+    let mut request = MineRequest::new(algorithm).strategy(strategy).guard(guard);
     if let Some(policy) = parse_checkpoint(&flags)? {
         request = request.checkpoint(policy);
     }
     let outcome = MiningSession::new(&db, &attrs)
         .mine(&query, &request)
         .map_err(|e| e.to_string())?;
-    emit_outcome(&outcome, options.strategy, checkpoint_path)
+    emit_outcome(&outcome, strategy, checkpoint_path)
 }
 
 fn cmd_resume(args: &[String]) -> Result<ExitCode, String> {
@@ -654,8 +648,6 @@ fn cmd_resume(args: &[String]) -> Result<ExitCode, String> {
             "--algorithm",
             "--counting",
             "--strategy",
-            "--threads",
-            "--shards",
             "--timeout",
             "--max-cells",
             "--max-mem-mb",
@@ -667,7 +659,7 @@ fn cmd_resume(args: &[String]) -> Result<ExitCode, String> {
         Some(p) => load_attrs(p)?,
         None => AttributeTable::with_identity_prices(db.n_items()),
     };
-    let options = parse_counting(&flags)?;
+    let strategy = parse_counting(&flags)?;
     let guard = parse_guard(&flags)?;
     let every: Option<usize> = flags.parse_opt("--checkpoint-every")?;
     if every == Some(0) {
@@ -680,7 +672,7 @@ fn cmd_resume(args: &[String]) -> Result<ExitCode, String> {
     // The resumed run keeps stamping into the same file, so a second
     // interruption is just another `ccs resume`.
     let request = MineRequest::default()
-        .options(options)
+        .strategy(strategy)
         .guard(guard)
         .checkpoint(CheckpointPolicy::file(path, cadence));
 
@@ -717,7 +709,7 @@ fn cmd_resume(args: &[String]) -> Result<ExitCode, String> {
             let outcome = MiningSession::new(&db, &attrs)
                 .mine(&query, &request)
                 .map_err(|e| e.to_string())?;
-            return emit_outcome(&outcome, options.strategy, Some(path));
+            return emit_outcome(&outcome, strategy, Some(path));
         }
         Err(e) => return Err(e.to_string()),
     };
@@ -737,7 +729,7 @@ fn cmd_resume(args: &[String]) -> Result<ExitCode, String> {
     let outcome = MiningSession::new(&db, &attrs)
         .resume(&checkpoint.query, &request, checkpoint.resume)
         .map_err(|e| e.to_string())?;
-    emit_outcome(&outcome, options.strategy, Some(path))
+    emit_outcome(&outcome, strategy, Some(path))
 }
 
 fn cmd_stats(args: &[String]) -> Result<(), String> {
@@ -764,4 +756,19 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
     }
     print_quietly(&text);
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn removed_counting_flags_name_the_surviving_choices() {
+        for flag in REMOVED_FLAGS {
+            let args = vec![(*flag).to_owned(), "2".to_owned()];
+            let err = Flags::new(&args, &["--counting"]).err().unwrap();
+            assert!(err.contains(flag), "{err}");
+            assert!(err.contains(CountingStrategy::CHOICES), "{err}");
+        }
+    }
 }

@@ -65,8 +65,8 @@ pub mod prelude {
         Checkpoint, CheckpointCadence, CheckpointError, CheckpointPolicy, CheckpointReport,
         CheckpointSink, CheckpointStatus, Completion, CorrelationQuery, CountingStrategy,
         DbFingerprint, FileSink, GuardLimits, MemorySink, MineOutcome, MineRequest, MiningError,
-        MiningMetrics, MiningOptions, MiningParams, MiningResult, MiningSession, ResumeState,
-        RunGuard, Semantics, SolutionSpace, TruncationReason,
+        MiningMetrics, MiningParams, MiningResult, MiningSession, ResumeState, RunGuard, Semantics,
+        SolutionSpace, TruncationReason,
     };
     pub use ccs_datagen::{generate_quest, generate_rules, QuestParams, RuleParams};
     pub use ccs_itemset::{Item, Itemset, TransactionDb};

@@ -12,7 +12,7 @@
 
 use ccs::itemset::{
     BatchInterrupted, CountProbe, CountingStats, FpTreeCounter, HorizontalCounter, MintermCounter,
-    ParallelVerticalCounter, ShardedVerticalCounter,
+    VerticalCounter,
 };
 use ccs::prelude::*;
 
@@ -83,7 +83,7 @@ pub fn resume_with_counter_guarded<C: MintermCounter>(
 }
 
 /// Builds the real counter a fault sweep decorates; boxed so one sweep
-/// harness can run the horizontal reference and the pooled counters
+/// harness can run the horizontal reference and the fast counters
 /// through identical injection schedules.
 pub type CounterFactory = fn(&TransactionDb) -> Box<dyn MintermCounter + '_>;
 
@@ -91,22 +91,11 @@ pub fn horizontal_factory(db: &TransactionDb) -> Box<dyn MintermCounter + '_> {
     Box::new(HorizontalCounter::new(db))
 }
 
-/// A 2-worker pooled vertical counter with its work floor zeroed, so
-/// even the toy dataset's batches take the pool fan-out path.
-pub fn vertical_par_factory(db: &TransactionDb) -> Box<dyn MintermCounter + '_> {
-    let mut counter = ParallelVerticalCounter::with_workers(db, 2);
-    counter.index_mut().set_work_floor(0);
-    Box::new(counter)
-}
-
-/// A 3-shard, 2-worker sharded vertical counter with its work floor
-/// zeroed: three shards on two workers guarantees at least one worker
-/// owns multiple shards, and the odd shard count leaves unequal shard
-/// lengths, so trips land mid-shard with other shards still in flight.
-pub fn sharded_factory(db: &TransactionDb) -> Box<dyn MintermCounter + '_> {
-    let mut counter = ShardedVerticalCounter::with_shards_and_workers(db, 3, 2);
-    counter.index_mut().set_work_floor(0);
-    Box::new(counter)
+/// The tid-set counter `Auto` routes most databases to: interruption
+/// at prefix-equivalence-class boundaries, vertical → horizontal
+/// degradation under memory pressure.
+pub fn vertical_factory(db: &TransactionDb) -> Box<dyn MintermCounter + '_> {
+    Box::new(VerticalCounter::new(db))
 }
 
 /// The pattern-growth counter: candidates answered from conditional
@@ -116,18 +105,10 @@ pub fn fptree_factory(db: &TransactionDb) -> Box<dyn MintermCounter + '_> {
     Box::new(FpTreeCounter::new(db))
 }
 
-/// Every counting substrate the durability differential must cover: the
-/// six concrete strategies, as sweep-compatible factories.
-pub const ALL_FACTORIES: [(&str, CounterFactory); 6] = [
+/// Every concrete counting substrate, as sweep-compatible factories.
+pub const ALL_FACTORIES: [(&str, CounterFactory); 3] = [
     ("horizontal", horizontal_factory),
-    ("vertical", |db| {
-        Box::new(ccs::itemset::VerticalCounter::new(db))
-    }),
-    ("parallel", |db| {
-        Box::new(ccs::itemset::ParallelCounter::new(db, 2))
-    }),
-    ("vertical-par", vertical_par_factory),
-    ("sharded", sharded_factory),
+    ("vertical", vertical_factory),
     ("fp-tree", fptree_factory),
 ];
 

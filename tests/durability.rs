@@ -30,12 +30,10 @@ use ccs::prelude::*;
 use common::{attrs, db, query, resume_with_counter_guarded, sorted, FaultCounter, ALL_ALGORITHMS};
 use proptest::prelude::*;
 
-const STRATEGIES: [CountingStrategy; 5] = [
+const STRATEGIES: [CountingStrategy; 3] = [
     CountingStrategy::Horizontal,
     CountingStrategy::Vertical,
-    CountingStrategy::Parallel,
-    CountingStrategy::VerticalPar,
-    CountingStrategy::Sharded,
+    CountingStrategy::FpTree,
 ];
 
 /// An in-memory sink whose storage outlives the `CheckpointPolicy` that

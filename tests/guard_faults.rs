@@ -1,11 +1,12 @@
 //! Fault-injection harness for the resource-governed mining runtime.
 //!
-//! A [`FaultCounter`] decorates the real horizontal counter and, at a
-//! chosen guarded-batch index, simulates resource exhaustion — a passed
-//! deadline, an exhausted work budget, a memory-budget trip, or external
-//! cancellation — exactly the way the production paths do (via
-//! [`RunGuard::trip`], the probe's `note_memory_trip`, or the
-//! cancellation flag), then abandons the batch.
+//! A [`FaultCounter`] decorates a real counter (horizontal, vertical,
+//! or FP-tree) and, at a chosen guarded-batch index, simulates resource
+//! exhaustion — a passed deadline, an exhausted work budget, a
+//! memory-budget trip, or external cancellation — exactly the way the
+//! production paths do (via [`RunGuard::trip`], the probe's
+//! `note_memory_trip`, or the cancellation flag), then abandons the
+//! batch.
 //!
 //! For every algorithm and every injection point, the truncated run must
 //! uphold the guard contract:
@@ -35,8 +36,8 @@ use ccs::itemset::{HorizontalCounter, MintermCounter};
 use ccs::prelude::*;
 use common::{
     attrs, db, fptree_factory, horizontal_factory, mine, mine_with_counter_guarded,
-    mine_with_guard, query, resume_with_counter_guarded, sharded_factory, sorted,
-    vertical_par_factory, CounterFactory, FaultCounter, ALL_ALGORITHMS,
+    mine_with_guard, query, resume_with_counter_guarded, sorted, vertical_factory, CounterFactory,
+    FaultCounter, ALL_ALGORITHMS,
 };
 
 /// Injects `fault` at guarded-batch index 0, 1, 2, … until the run
@@ -141,6 +142,114 @@ fn sweep_with(algorithm: Algorithm, fault: TruncationReason, factory: CounterFac
         }
     }
     panic!("{algorithm}: more than 64 guarded batches on the toy dataset");
+}
+
+/// The trip-at-every-batch-index sweep over the counter `factory`
+/// builds: work-budget faults for every algorithm (each must see at
+/// least two guarded batches), plus cancellation faults through the
+/// BMS*/BMS** phase boundary. Resumes run on the same kind of counter.
+fn sweep_counter(factory: CounterFactory) {
+    for algorithm in ALL_ALGORITHMS {
+        let truncating = sweep_with(algorithm, TruncationReason::WorkBudget, factory);
+        assert!(
+            truncating >= 2,
+            "{algorithm}: expected at least two guarded batches, found {truncating}"
+        );
+    }
+    for algorithm in [Algorithm::BmsStar, Algorithm::BmsStarStar] {
+        sweep_with(algorithm, TruncationReason::Cancelled, factory);
+    }
+}
+
+/// Not an injected fault: a genuine cell budget that trips *inside* the
+/// guarded batch of the counter `factory` builds. Budgets sweep from tiny
+/// to nearly-the-whole-run so the trip lands at many different points
+/// within and between batches: tables in flight are discarded wholesale,
+/// completed ones are kept, partial answers stay sound, and resuming on
+/// the counter `resume_factory` builds is exact.
+fn real_budget_sweep(factory: CounterFactory, resume_factory: CounterFactory) {
+    let db = db();
+    let attrs = attrs();
+    let q = query();
+    for algorithm in Algorithm::paper_algorithms() {
+        let complete = mine(&db, &attrs, &q, algorithm).unwrap();
+        for budget in [1u64, 40, 150, 400, 1000] {
+            let guard = RunGuard::new(GuardLimits {
+                work_budget_cells: Some(budget),
+                ..GuardLimits::default()
+            });
+            let mut counter = factory(&db);
+            let result =
+                mine_with_counter_guarded(&db, &attrs, &q, algorithm, &mut counter, &guard)
+                    .unwrap();
+            for s in &result.answers {
+                assert!(
+                    complete.answers.contains(s),
+                    "{algorithm} budget {budget}: unsound partial answer {s}"
+                );
+            }
+            let Some(state) = result.resume else {
+                assert!(
+                    result.completion.is_complete(),
+                    "{algorithm} budget {budget}: no snapshot on a truncated run"
+                );
+                continue;
+            };
+            let mut resume_counter = resume_factory(&db);
+            let resumed = resume_with_counter_guarded(
+                &db,
+                &attrs,
+                &q,
+                &mut resume_counter,
+                &RunGuard::new(GuardLimits::default()),
+                state,
+            )
+            .unwrap();
+            assert_eq!(
+                sorted(&resumed.answers),
+                sorted(&complete.answers),
+                "{algorithm} budget {budget}: resume diverged"
+            );
+        }
+    }
+}
+
+/// Mines under a 1-byte and a 64 KiB memory budget with the counter
+/// `factory` builds: its degradation ladder must step down instead of
+/// truncating and keep the answers identical to the unguarded run, and
+/// a 1-byte budget must force at least one degraded batch.
+fn memory_ladder_sweep(factory: CounterFactory) {
+    let db = db();
+    let attrs = attrs();
+    let q = query();
+    for algorithm in [Algorithm::BmsPlusPlus, Algorithm::BmsStarStar] {
+        let unguarded = mine(&db, &attrs, &q, algorithm).unwrap();
+        for budget in [1usize, 64 * 1024] {
+            let guard = RunGuard::new(GuardLimits {
+                memory_budget_bytes: Some(budget),
+                ..GuardLimits::default()
+            });
+            let mut counter = factory(&db);
+            let result =
+                mine_with_counter_guarded(&db, &attrs, &q, algorithm, &mut counter, &guard)
+                    .unwrap();
+            assert!(
+                result.completion.is_complete(),
+                "{algorithm} budget {budget}: the ladder must degrade, not truncate"
+            );
+            assert_eq!(
+                sorted(&result.answers),
+                sorted(&unguarded.answers),
+                "{algorithm} budget {budget}: degraded counting changed the answers"
+            );
+            if budget == 1 {
+                assert!(
+                    counter.stats().degraded_batches > 0,
+                    "{algorithm}: a 1-byte arena must force the ladder down"
+                );
+            }
+        }
+    }
 }
 
 #[test]
@@ -342,80 +451,85 @@ fn tight_memory_budget_degrades_vertical_counting_without_truncation() {
 }
 
 #[test]
-fn parallel_vertical_faults_every_injection_point() {
-    // The full trip-at-every-batch-index sweep with the pooled
-    // parallel-vertical counter underneath (work floor zeroed so every
-    // batch fans out over the pool): partial answers stay sound, and
-    // resuming — also on the pooled counter — reproduces the complete
-    // answer set exactly.
-    for algorithm in ALL_ALGORITHMS {
-        let truncating = sweep_with(
-            algorithm,
-            TruncationReason::WorkBudget,
-            vertical_par_factory,
-        );
-        assert!(
-            truncating >= 2,
-            "{algorithm}: expected at least two guarded batches, found {truncating}"
-        );
-    }
-    for algorithm in [Algorithm::BmsStar, Algorithm::BmsStarStar] {
-        sweep_with(algorithm, TruncationReason::Cancelled, vertical_par_factory);
+fn caller_owned_vertical_counter_degrades_under_tight_memory_budget() {
+    // The vertical ladder on a caller-owned counter rather than one the
+    // session builds: a 1-byte budget steps down to horizontal scans, a
+    // 64 KiB budget fits the arena, and neither truncates or changes the
+    // answers.
+    memory_ladder_sweep(vertical_factory);
+}
+
+#[test]
+fn vertical_faults_every_injection_point() {
+    // The full trip-at-every-batch-index sweep with the vertical counter
+    // (the one `Auto` picks for most databases) underneath: partial
+    // answers stay sound and mutually minimal, and resuming — also on a
+    // vertical counter — reproduces the complete answer set exactly.
+    sweep_counter(vertical_factory);
+}
+
+#[test]
+fn vertical_deadline_faults_every_injection_point() {
+    // Deadline faults at every guarded batch of the vertical counter:
+    // the same contract as the horizontal deadline sweep.
+    for algorithm in Algorithm::paper_algorithms() {
+        sweep_with(algorithm, TruncationReason::Deadline, vertical_factory);
     }
 }
 
 #[test]
-fn sharded_faults_every_injection_point() {
-    // The trip-at-every-batch-index sweep over the sharded counter:
-    // partial answers stay sound and mutually minimal, and resuming —
-    // also on a sharded counter — reproduces the complete answer set
-    // exactly.
-    for algorithm in ALL_ALGORITHMS {
-        let truncating = sweep_with(algorithm, TruncationReason::WorkBudget, sharded_factory);
-        assert!(
-            truncating >= 2,
-            "{algorithm}: expected at least two guarded batches, found {truncating}"
-        );
-    }
-    for algorithm in [Algorithm::BmsStar, Algorithm::BmsStarStar] {
-        sweep_with(algorithm, TruncationReason::Cancelled, sharded_factory);
-    }
+fn real_work_budget_trips_mid_vertical_batch_soundly() {
+    // A genuine cell budget tripping between the vertical counter's
+    // prefix classes: classes in flight are discarded wholesale.
+    real_budget_sweep(vertical_factory, vertical_factory);
 }
 
 #[test]
-fn real_work_budget_trips_mid_shard_soundly() {
-    // A genuine cell budget tripping *inside* the sharded guarded
-    // batch: classes whose per-shard tables were only partially
-    // delivered must be discarded wholesale, completed classes are
-    // kept, partial answers stay sound, and resume is exact.
+fn vertical_snapshot_resumes_exactly_on_horizontal_counter() {
+    // A resume snapshot holds no counter state: one cut by a real cell
+    // budget on the vertical counter resumes exactly on horizontal scans.
+    real_budget_sweep(vertical_factory, horizontal_factory);
+}
+
+#[test]
+fn degraded_vertical_run_truncates_and_resumes_exactly() {
+    // A 1-byte arena forces the vertical counter down its ladder, and a
+    // cell budget then cuts the degraded run short: the partial answers
+    // stay sound and resuming on a fresh vertical counter is exact.
     let db = db();
     let attrs = attrs();
     let q = query();
     for algorithm in Algorithm::paper_algorithms() {
         let complete = mine(&db, &attrs, &q, algorithm).unwrap();
-        for budget in [1u64, 40, 150, 400, 1000] {
+        for budget in [150u64, 250] {
             let guard = RunGuard::new(GuardLimits {
                 work_budget_cells: Some(budget),
+                memory_budget_bytes: Some(1),
                 ..GuardLimits::default()
             });
-            let mut counter = sharded_factory(&db);
+            let mut counter = vertical_factory(&db);
             let result =
                 mine_with_counter_guarded(&db, &attrs, &q, algorithm, &mut counter, &guard)
                     .unwrap();
+            assert!(
+                counter.stats().degraded_batches > 0,
+                "{algorithm} budget {budget}: a 1-byte arena must force the ladder down"
+            );
+            assert_eq!(
+                result.completion.truncation_reason(),
+                Some(TruncationReason::WorkBudget),
+                "{algorithm} budget {budget}: a degraded run still honours the cell budget"
+            );
             for s in &result.answers {
                 assert!(
                     complete.answers.contains(s),
                     "{algorithm} budget {budget}: unsound partial answer {s}"
                 );
             }
-            let Some(state) = result.resume else {
-                assert!(
-                    result.completion.is_complete(),
-                    "{algorithm} budget {budget}: no snapshot on a truncated run"
-                );
-                continue;
-            };
-            let mut resume_counter = sharded_factory(&db);
+            let state = result
+                .resume
+                .expect("truncated runs carry a resume snapshot");
+            let mut resume_counter = vertical_factory(&db);
             let resumed = resume_with_counter_guarded(
                 &db,
                 &attrs,
@@ -428,40 +542,7 @@ fn real_work_budget_trips_mid_shard_soundly() {
             assert_eq!(
                 sorted(&resumed.answers),
                 sorted(&complete.answers),
-                "{algorithm} budget {budget}: sharded resume diverged"
-            );
-        }
-    }
-}
-
-#[test]
-fn tight_memory_budget_degrades_sharded_counting_without_truncation() {
-    // The sharded ladder: a budget that fits one full-range arena but
-    // not the per-shard sum degrades to the sequential vertical index; a
-    // 1-byte budget degrades all the way to horizontal. Neither
-    // truncates, and both keep the answers bit-identical.
-    let db = db();
-    let attrs = attrs();
-    let q = query();
-    for algorithm in [Algorithm::BmsPlusPlus, Algorithm::BmsStarStar] {
-        let unguarded = mine(&db, &attrs, &q, algorithm).unwrap();
-        for budget in [1usize, 64 * 1024] {
-            let guard = RunGuard::new(GuardLimits {
-                memory_budget_bytes: Some(budget),
-                ..GuardLimits::default()
-            });
-            let mut counter = sharded_factory(&db);
-            let result =
-                mine_with_counter_guarded(&db, &attrs, &q, algorithm, &mut counter, &guard)
-                    .unwrap();
-            assert!(
-                result.completion.is_complete(),
-                "{algorithm} budget {budget}: the ladder must degrade, not truncate"
-            );
-            assert_eq!(
-                sorted(&result.answers),
-                sorted(&unguarded.answers),
-                "{algorithm} budget {budget}: degraded counting changed the answers"
+                "{algorithm} budget {budget}: resume diverged"
             );
         }
     }
@@ -469,198 +550,24 @@ fn tight_memory_budget_degrades_sharded_counting_without_truncation() {
 
 #[test]
 fn fptree_faults_every_injection_point() {
-    // The trip-at-every-batch-index sweep over the pattern-growth
-    // counter: partial answers stay sound and mutually minimal, and
-    // resuming — also on an FP-tree counter — reproduces the complete
-    // answer set exactly.
-    for algorithm in ALL_ALGORITHMS {
-        let truncating = sweep_with(algorithm, TruncationReason::WorkBudget, fptree_factory);
-        assert!(
-            truncating >= 2,
-            "{algorithm}: expected at least two guarded batches, found {truncating}"
-        );
-    }
-    for algorithm in [Algorithm::BmsStar, Algorithm::BmsStarStar] {
-        sweep_with(algorithm, TruncationReason::Cancelled, fptree_factory);
-    }
+    // The same sweep over the pattern-growth counter.
+    sweep_counter(fptree_factory);
 }
 
 #[test]
 fn real_work_budget_trips_mid_projection_soundly() {
     // A genuine cell budget tripping at the FP-tree's projection
     // boundaries: candidates whose conditional walks were in flight are
-    // discarded wholesale, completed candidates are kept, partial
-    // answers stay sound, and resume is exact.
-    let db = db();
-    let attrs = attrs();
-    let q = query();
-    for algorithm in Algorithm::paper_algorithms() {
-        let complete = mine(&db, &attrs, &q, algorithm).unwrap();
-        for budget in [1u64, 40, 150, 400, 1000] {
-            let guard = RunGuard::new(GuardLimits {
-                work_budget_cells: Some(budget),
-                ..GuardLimits::default()
-            });
-            let mut counter = fptree_factory(&db);
-            let result =
-                mine_with_counter_guarded(&db, &attrs, &q, algorithm, &mut counter, &guard)
-                    .unwrap();
-            for s in &result.answers {
-                assert!(
-                    complete.answers.contains(s),
-                    "{algorithm} budget {budget}: unsound partial answer {s}"
-                );
-            }
-            let Some(state) = result.resume else {
-                assert!(
-                    result.completion.is_complete(),
-                    "{algorithm} budget {budget}: no snapshot on a truncated run"
-                );
-                continue;
-            };
-            let mut resume_counter = fptree_factory(&db);
-            let resumed = resume_with_counter_guarded(
-                &db,
-                &attrs,
-                &q,
-                &mut resume_counter,
-                &RunGuard::new(GuardLimits::default()),
-                state,
-            )
-            .unwrap();
-            assert_eq!(
-                sorted(&resumed.answers),
-                sorted(&complete.answers),
-                "{algorithm} budget {budget}: fp-tree resume diverged"
-            );
-        }
-    }
+    // discarded wholesale.
+    real_budget_sweep(fptree_factory, fptree_factory);
 }
 
 #[test]
 fn tight_memory_budget_degrades_fptree_counting_without_truncation() {
     // The FP-tree ladder: a budget the memoized projections overflow
     // drops to the lazily built vertical twin, and a 1-byte budget falls
-    // through to horizontal scans. Neither truncates, and both keep the
-    // answers bit-identical to the unguarded run.
-    let db = db();
-    let attrs = attrs();
-    let q = query();
-    for algorithm in [Algorithm::BmsPlusPlus, Algorithm::BmsStarStar] {
-        let unguarded = mine(&db, &attrs, &q, algorithm).unwrap();
-        for budget in [1usize, 64 * 1024] {
-            let guard = RunGuard::new(GuardLimits {
-                memory_budget_bytes: Some(budget),
-                ..GuardLimits::default()
-            });
-            let mut counter = fptree_factory(&db);
-            let result =
-                mine_with_counter_guarded(&db, &attrs, &q, algorithm, &mut counter, &guard)
-                    .unwrap();
-            assert!(
-                result.completion.is_complete(),
-                "{algorithm} budget {budget}: the ladder must degrade, not truncate"
-            );
-            assert_eq!(
-                sorted(&result.answers),
-                sorted(&unguarded.answers),
-                "{algorithm} budget {budget}: degraded counting changed the answers"
-            );
-            if budget == 1 {
-                assert!(
-                    counter.stats().degraded_batches > 0,
-                    "{algorithm}: a 1-byte arena must force the ladder down"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn real_work_budget_trips_mid_pooled_batch_soundly() {
-    // Not an injected fault: a genuine cell budget that trips *inside*
-    // the pooled guarded batch, exercising first-trip-wins draining —
-    // the tripped run keeps every completed prefix class, stays sound,
-    // and resumes exactly. Budgets sweep from tiny to
-    // nearly-the-whole-run so the trip lands at many different points
-    // within and between batches.
-    let db = db();
-    let attrs = attrs();
-    let q = query();
-    for algorithm in Algorithm::paper_algorithms() {
-        let complete = mine(&db, &attrs, &q, algorithm).unwrap();
-        for budget in [1u64, 40, 150, 400, 1000] {
-            let guard = RunGuard::new(GuardLimits {
-                work_budget_cells: Some(budget),
-                ..GuardLimits::default()
-            });
-            let mut counter = vertical_par_factory(&db);
-            let result =
-                mine_with_counter_guarded(&db, &attrs, &q, algorithm, &mut counter, &guard)
-                    .unwrap();
-            for s in &result.answers {
-                assert!(
-                    complete.answers.contains(s),
-                    "{algorithm} budget {budget}: unsound partial answer {s}"
-                );
-            }
-            let Some(state) = result.resume else {
-                assert!(
-                    result.completion.is_complete(),
-                    "{algorithm} budget {budget}: no snapshot on a truncated run"
-                );
-                continue;
-            };
-            let mut resume_counter = vertical_par_factory(&db);
-            let resumed = resume_with_counter_guarded(
-                &db,
-                &attrs,
-                &q,
-                &mut resume_counter,
-                &RunGuard::new(GuardLimits::default()),
-                state,
-            )
-            .unwrap();
-            assert_eq!(
-                sorted(&resumed.answers),
-                sorted(&complete.answers),
-                "{algorithm} budget {budget}: pooled resume diverged"
-            );
-        }
-    }
-}
-
-#[test]
-fn tight_memory_budget_degrades_pooled_counting_without_truncation() {
-    // The parallel-vertical ladder: a budget that fits one arena but not
-    // one per worker degrades to sequential vertical; a 1-byte budget
-    // degrades all the way to horizontal. Neither truncates, and both
-    // keep the answers bit-identical.
-    let db = db();
-    let attrs = attrs();
-    let q = query();
-    for algorithm in [Algorithm::BmsPlusPlus, Algorithm::BmsStarStar] {
-        let unguarded = mine(&db, &attrs, &q, algorithm).unwrap();
-        for budget in [1usize, 64 * 1024] {
-            let guard = RunGuard::new(GuardLimits {
-                memory_budget_bytes: Some(budget),
-                ..GuardLimits::default()
-            });
-            let mut counter = vertical_par_factory(&db);
-            let result =
-                mine_with_counter_guarded(&db, &attrs, &q, algorithm, &mut counter, &guard)
-                    .unwrap();
-            assert!(
-                result.completion.is_complete(),
-                "{algorithm} budget {budget}: the ladder must degrade, not truncate"
-            );
-            assert_eq!(
-                sorted(&result.answers),
-                sorted(&unguarded.answers),
-                "{algorithm} budget {budget}: degraded counting changed the answers"
-            );
-        }
-    }
+    // through to horizontal scans.
+    memory_ladder_sweep(fptree_factory);
 }
 
 #[test]

@@ -213,17 +213,6 @@ fn mine_horizontal(
         .result
 }
 
-/// Shard-count override for this run: `CCS_TEST_SHARDS`, when set,
-/// forces every non-horizontal strategy onto that many tid-range shards
-/// (the CI forced-shards job exports 3, a count that never divides the
-/// fixture sizes evenly). It also routes `Auto` to the sharded engine,
-/// so the forced run exercises sharding across the whole matrix.
-fn forced_shards() -> Option<usize> {
-    std::env::var("CCS_TEST_SHARDS")
-        .ok()
-        .map(|s| s.parse().expect("CCS_TEST_SHARDS must be a shard count"))
-}
-
 /// Strategy override for this run: `CCS_TEST_STRATEGY`, when set,
 /// narrows the cross-strategy comparison to that single strategy (CLI
 /// names), so CI can run a focused forced pass — the fp-tree job
@@ -245,12 +234,8 @@ fn mine_with(
     algorithm: Algorithm,
     strategy: CountingStrategy,
 ) -> MiningResult {
-    let mut request = MineRequest::new(algorithm).strategy(strategy);
-    if let Some(shards) = forced_shards() {
-        request = request.shards(shards);
-    }
     MiningSession::new(db, attrs)
-        .mine(q, &request)
+        .mine(q, &MineRequest::new(algorithm).strategy(strategy))
         .unwrap()
         .result
 }
@@ -294,9 +279,6 @@ fn render_transcript() -> String {
                     Some(s) => vec![s],
                     None => vec![
                         CountingStrategy::Vertical,
-                        CountingStrategy::Parallel,
-                        CountingStrategy::VerticalPar,
-                        CountingStrategy::Sharded,
                         CountingStrategy::FpTree,
                         CountingStrategy::Auto,
                     ],

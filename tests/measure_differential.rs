@@ -17,12 +17,9 @@ use std::collections::{HashMap, HashSet};
 use ccs::prelude::*;
 use common::{sorted, ALL_ALGORITHMS};
 
-const STRATEGIES: [CountingStrategy; 6] = [
+const STRATEGIES: [CountingStrategy; 3] = [
     CountingStrategy::Horizontal,
     CountingStrategy::Vertical,
-    CountingStrategy::Parallel,
-    CountingStrategy::VerticalPar,
-    CountingStrategy::Sharded,
     CountingStrategy::FpTree,
 ];
 
