@@ -7,7 +7,10 @@ use std::collections::HashSet;
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use ccs_bench::DataMethod;
-use ccs_itemset::{candidate, HorizontalCounter, Itemset, MintermCounter, TidSet, VerticalCounter};
+use ccs_datagen::{generate_quest, QuestParams};
+use ccs_itemset::{
+    candidate, HorizontalCounter, Item, ItemMask, Itemset, MintermCounter, TidSet, VerticalCounter,
+};
 use ccs_stats::{chi2_quantile, ContingencyTable};
 
 /// A dense miner level: all `k`-subsets of consecutive `pool`-item
@@ -36,6 +39,32 @@ fn dense_level(n_items: u32, n: usize, k: usize, pool: u32) -> Vec<Itemset> {
     }
     sets.sort_unstable();
     sets
+}
+
+/// A lattice-sparse-shaped `NOTSIG₃` level: the sets a BMS+ sweep over
+/// an 80-item Quest database (mean basket 10, support 0.02, χ² at 90%)
+/// keeps at level 3 because they are CT-supported but uncorrelated —
+/// the level whose extension dominated BMS++ before the canonical join.
+fn sparse_notsig3() -> (Vec<Item>, HashSet<Itemset>) {
+    let db = generate_quest(&QuestParams::small(20_000, 80, 7));
+    let items: Vec<Item> = (0..db.n_items()).map(Item::new).collect();
+    let s_abs = (0.02 * db.len() as f64).ceil() as u64;
+    let critical = chi2_quantile(0.9, 1);
+    let mut counter = VerticalCounter::new(&db);
+    let mut cands = candidate::all_pairs(&items);
+    let mut notsig = HashSet::new();
+    for _level in 2..=3 {
+        let counts = counter.minterm_counts_batch(&cands);
+        notsig = cands
+            .into_iter()
+            .zip(counts)
+            .map(|(set, cells)| ContingencyTable::from_counts(set, cells))
+            .filter(|t| t.is_ct_supported(s_abs, 0.25) && t.chi_squared() < critical)
+            .map(ContingencyTable::into_itemset)
+            .collect();
+        cands = candidate::apriori_gen(&notsig);
+    }
+    (items, notsig)
 }
 
 fn bench_tidset(c: &mut Criterion) {
@@ -134,6 +163,35 @@ fn bench_candidates(c: &mut Criterion) {
             |bench, s| bench.iter(|| black_box(candidate::apriori_gen(black_box(s)))),
         );
     }
+
+    // The BMS++ join on a real NOTSIG₃ level, next to `apriori_gen` on
+    // the same level: every item a witness (the lattice-sparse queries),
+    // and one item in eight a witness over the level's witness-holding
+    // sets (BMS++ levels hold nothing else), where most bases have a
+    // lone witness and many extend through the universe scan.
+    let (items, notsig) = sparse_notsig3();
+    c.bench_with_input(
+        BenchmarkId::new("candidate/apriori_gen", "notsig3"),
+        &notsig,
+        |bench, s| bench.iter(|| black_box(candidate::apriori_gen(black_box(s)))),
+    );
+    let all: ItemMask = items.iter().copied().collect();
+    c.bench_with_input(
+        BenchmarkId::new("candidate/witness_join", "notsig3_all_witnesses"),
+        &notsig,
+        |bench, s| bench.iter(|| black_box(candidate::witness_join(black_box(s), &items, &all))),
+    );
+    let sparse: ItemMask = items.iter().copied().filter(|i| i.id() % 8 == 0).collect();
+    let holding: HashSet<Itemset> = notsig
+        .iter()
+        .filter(|s| s.iter().any(|i| sparse.contains(i)))
+        .cloned()
+        .collect();
+    c.bench_with_input(
+        BenchmarkId::new("candidate/witness_join", "notsig3_sparse_witnesses"),
+        &holding,
+        |bench, s| bench.iter(|| black_box(candidate::witness_join(black_box(s), &items, &sparse))),
+    );
 }
 
 criterion_group!(

@@ -8,10 +8,11 @@
 //! II. **Candidate formation.** `CAND₂ = {{i₁,i₂} | i₁ ∈ L1⁺, i₂ ∈ L1⁺ ∪
 //!     L1⁻}`. For `k > 2`, a `k`-set is a candidate when every
 //!     `(k−1)`-subset that intersects `L1⁺` is in the previous level's
-//!     `NOTSIG`. Candidates are produced by single-item extension of
-//!     `NOTSIG` sets (the symmetric Apriori join is incomplete here: a
-//!     candidate may legitimately have subsets that were never candidates
-//!     because they miss `L1⁺`).
+//!     `NOTSIG`. Candidates come from the canonical witness join
+//!     ([`candidate::witness_join`]), which extends each candidate's one
+//!     canonical `NOTSIG` base (the symmetric Apriori join is incomplete
+//!     here: a candidate may legitimately have subsets that were never
+//!     candidates because they miss `L1⁺`).
 //!
 //! III. **SIG/NOTSIG.** Residual (non-succinct) anti-monotone constraints
 //!      are checked *before* the contingency table is built; residual
@@ -27,7 +28,7 @@
 use std::collections::HashSet;
 
 use ccs_constraints::{AttributeTable, ConstraintAnalysis};
-use ccs_itemset::{candidate, Item, Itemset, MintermCounter, TransactionDb};
+use ccs_itemset::{candidate, Item, ItemMask, Itemset, MintermCounter, TransactionDb};
 use ccs_stats::MonotonicityClass;
 
 use crate::engine::{Engine, Verdict};
@@ -49,7 +50,7 @@ pub(crate) struct PlusPlusPolicy<'a> {
     pub(crate) analysis: &'a ConstraintAnalysis,
     pub(crate) attrs: &'a AttributeTable,
     pub(crate) good1: Vec<Item>,
-    pub(crate) witness_set: HashSet<Item>,
+    pub(crate) witnesses: ItemMask,
     pub(crate) sig_candidates: Vec<Itemset>,
     pub(crate) cands: Vec<Itemset>,
     /// The measure's closure direction; under a downward-closed measure
@@ -101,11 +102,7 @@ impl AlgorithmPolicy for PlusPlusPolicy<'_> {
             self.cands = Vec::new();
             return;
         }
-        let witness_set = &self.witness_set;
-        self.cands = candidate::extend_gen(&notsig_level, &self.good1, |cand| {
-            cand.subsets_dropping_one()
-                .all(|s| !s.iter().any(|i| witness_set.contains(&i)) || notsig_level.contains(&s))
-        });
+        self.cands = candidate::witness_join(&notsig_level, &self.good1, &self.witnesses);
     }
 }
 
@@ -114,7 +111,7 @@ impl AlgorithmPolicy for PlusPlusPolicy<'_> {
 pub(crate) fn verify_single_witness(
     engine: &mut Engine<'_>,
     analysis: &ConstraintAnalysis,
-    witness_set: &HashSet<Item>,
+    witnesses: &ItemMask,
     sig_candidates: Vec<Itemset>,
 ) -> Vec<Itemset> {
     if !analysis.has_witness_class() {
@@ -122,12 +119,13 @@ pub(crate) fn verify_single_witness(
     }
     let mut answers = Vec::with_capacity(sig_candidates.len());
     for set in sig_candidates {
-        let witnesses: Vec<Item> = set.iter().filter(|i| witness_set.contains(i)).collect();
-        if witnesses.len() == 1 && set.len() >= 3 {
-            let residue = set.without_item(witnesses[0]);
-            let v = engine.evaluate(&residue);
-            if v.correlated && v.ct_supported {
-                continue; // `set` is not a minimal correlated set.
+        let mut found = set.items().iter().filter(|&&i| witnesses.contains(i));
+        if let (Some(&lone), None) = (found.next(), found.next()) {
+            if set.len() >= 3 {
+                let v = engine.evaluate(&set.without_item(lone));
+                if v.correlated && v.ct_supported {
+                    continue; // `set` is not a minimal correlated set.
+                }
             }
         }
         answers.push(set);
@@ -196,7 +194,7 @@ pub(crate) fn run_bms_plus_plus_guarded(
         analysis: &analysis,
         attrs,
         good1: prep.good1,
-        witness_set: prep.witness_set,
+        witnesses: prep.witnesses,
         sig_candidates,
         cands,
         class: query.params.measure.monotonicity(),
@@ -216,7 +214,7 @@ pub(crate) fn run_bms_plus_plus_guarded(
     let answers = verify_single_witness(
         &mut engine,
         &analysis,
-        &policy.witness_set,
+        &policy.witnesses,
         policy.sig_candidates,
     );
     Ok(scope.seal(&engine, metrics, answers, Semantics::ValidMin, trip))

@@ -31,7 +31,7 @@
 use std::collections::{HashMap, HashSet};
 
 use ccs_constraints::{AttributeTable, ConstraintAnalysis};
-use ccs_itemset::{candidate, Item, Itemset, MintermCounter, TransactionDb};
+use ccs_itemset::{candidate, Item, ItemMask, Itemset, MintermCounter, TransactionDb};
 use ccs_stats::MonotonicityClass;
 
 use crate::engine::Verdict;
@@ -51,7 +51,7 @@ struct StarStarPhase1Policy<'a> {
     analysis: &'a ConstraintAnalysis,
     attrs: &'a AttributeTable,
     good1: &'a [Item],
-    witness_set: &'a HashSet<Item>,
+    witnesses: &'a ItemMask,
     supp: HashMap<usize, HashSet<Itemset>>,
     cands: Vec<Itemset>,
 }
@@ -85,11 +85,7 @@ impl AlgorithmPolicy for StarStarPhase1Policy<'_> {
                 supp_level.insert(set);
             }
         }
-        let witness_set = self.witness_set;
-        self.cands = candidate::extend_gen(&supp_level, self.good1, |cand| {
-            cand.subsets_dropping_one()
-                .all(|s| !s.iter().any(|i| witness_set.contains(&i)) || supp_level.contains(&s))
-        });
+        self.cands = candidate::witness_join(&supp_level, self.good1, self.witnesses);
         self.supp.insert(level, supp_level);
     }
 }
@@ -226,7 +222,7 @@ pub(crate) fn run_bms_star_star_guarded(
                 analysis: &analysis,
                 attrs,
                 good1: &prep.good1,
-                witness_set: &prep.witness_set,
+                witnesses: &prep.witnesses,
                 supp,
                 cands,
             };

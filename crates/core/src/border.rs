@@ -138,6 +138,7 @@ pub fn solution_space<C: MintermCounter>(
     let empty = HashSet::new();
     let mut minimal = Vec::new();
     let mut maximal = Vec::new();
+    let mut probe = candidate::SubsetProbe::new();
     for (&k, members) in &in_space {
         let below = if k > 2 {
             in_space.get(&(k - 1)).unwrap_or(&empty)
@@ -146,7 +147,7 @@ pub fn solution_space<C: MintermCounter>(
         };
         let above = in_space.get(&(k + 1)).unwrap_or(&empty);
         for set in members {
-            if set.subsets_dropping_one().all(|s| !below.contains(&s)) {
+            if (0..set.len()).all(|drop| !probe.contains_without(below, set.items(), drop)) {
                 minimal.push(set.clone());
             }
             let dominated = above.iter().any(|sup| set.is_subset_of(sup));

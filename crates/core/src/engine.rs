@@ -124,7 +124,7 @@ impl<'a> Engine<'a> {
         }
         let table = ContingencyTable::build(&mut *self.counter, set);
         let v = self.judge(&table);
-        self.cache.insert(set.clone(), v);
+        self.cache.insert(table.into_itemset(), v);
         v
     }
 
@@ -176,10 +176,12 @@ impl<'a> Engine<'a> {
                     })
                 }
             };
+            // Each fresh set moves through its table into the cache key:
+            // one clone per set, the one into `fresh` above.
             for (set, cells) in fresh.into_iter().zip(counts) {
-                let table = ContingencyTable::from_counts(set.clone(), cells);
+                let table = ContingencyTable::from_counts(set, cells);
                 let v = self.judge(&table);
-                self.cache.insert(set, v);
+                self.cache.insert(table.into_itemset(), v);
             }
         }
         Ok(sets.iter().map(|s| self.cache[s]).collect())

@@ -5,10 +5,8 @@
 //! `GOOD₁` and splits that into the witness class `L1⁺` and the rest
 //! `L1⁻` (preprocessing step I of §3.1).
 
-use std::collections::HashSet;
-
 use ccs_constraints::{AttributeTable, ConstraintAnalysis};
-use ccs_itemset::{Item, Itemset, TransactionDb};
+use ccs_itemset::{Item, ItemMask, Itemset, TransactionDb};
 
 use crate::params::MiningParams;
 use crate::query::CorrelationQuery;
@@ -60,13 +58,13 @@ pub(crate) fn witness_split(
     (l1_plus, l1_minus)
 }
 
-/// `GOOD₁`, its witness split, and the witness membership set — the full
+/// `GOOD₁`, its witness split, and the witness membership mask — the full
 /// preprocessing step I bundle BMS++ and BMS** both start from.
 pub(crate) struct Preprocessed {
     pub(crate) good1: Vec<Item>,
     pub(crate) l1_plus: Vec<Item>,
     pub(crate) l1_minus: Vec<Item>,
-    pub(crate) witness_set: HashSet<Item>,
+    pub(crate) witnesses: ItemMask,
 }
 
 pub(crate) fn preprocess(
@@ -77,11 +75,11 @@ pub(crate) fn preprocess(
 ) -> Preprocessed {
     let good1 = good1_items(db, attrs, query);
     let (l1_plus, l1_minus) = witness_split(&good1, analysis);
-    let witness_set = l1_plus.iter().copied().collect();
+    let witnesses = l1_plus.iter().copied().collect();
     Preprocessed {
         good1,
         l1_plus,
         l1_minus,
-        witness_set,
+        witnesses,
     }
 }

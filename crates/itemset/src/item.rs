@@ -54,6 +54,39 @@ impl From<Item> for u32 {
     }
 }
 
+/// A dense membership bitmap over item ids: an O(1) lookup with no
+/// hashing, for per-item flags such as the witness class `L1⁺`. Ids past
+/// the highest inserted one read as absent.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ItemMask {
+    words: Vec<u64>,
+}
+
+impl ItemMask {
+    /// `true` iff `item` is in the mask.
+    #[inline]
+    pub fn contains(&self, item: Item) -> bool {
+        let i = item.index();
+        self.words
+            .get(i / 64)
+            .is_some_and(|word| word >> (i % 64) & 1 == 1)
+    }
+}
+
+impl FromIterator<Item> for ItemMask {
+    fn from_iter<T: IntoIterator<Item = Item>>(iter: T) -> Self {
+        let mut words: Vec<u64> = Vec::new();
+        for item in iter {
+            let i = item.index();
+            if words.len() <= i / 64 {
+                words.resize(i / 64 + 1, 0);
+            }
+            words[i / 64] |= 1 << (i % 64);
+        }
+        ItemMask { words }
+    }
+}
+
 impl fmt::Display for Item {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "i{}", self.0)
@@ -77,6 +110,21 @@ mod tests {
     fn item_orders_by_id() {
         assert!(Item::new(1) < Item::new(2));
         assert_eq!(Item::new(7), Item::new(7));
+    }
+
+    #[test]
+    fn item_mask_membership() {
+        let mask: ItemMask = [Item(0), Item(63), Item(64), Item(130)]
+            .into_iter()
+            .collect();
+        for id in 0..200 {
+            assert_eq!(
+                mask.contains(Item(id)),
+                [0, 63, 64, 130].contains(&id),
+                "i{id}"
+            );
+        }
+        assert!(!ItemMask::default().contains(Item(0)));
     }
 
     #[test]

@@ -11,6 +11,7 @@
 //! * two `usize`s of inline footprint, which matters when millions of
 //!   candidates are in flight.
 
+use std::borrow::Borrow;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
@@ -292,6 +293,17 @@ impl Itemset {
     }
 }
 
+/// Lets hashed and ordered collections of itemsets be probed with a bare
+/// sorted slice (`HashSet<Itemset>::contains(&[Item])`), so subset checks
+/// can reuse one scratch buffer instead of allocating an `Itemset` each.
+/// Sound because `Hash`, `Eq` and `Ord` all derive from the one field,
+/// and so agree with the slice's own.
+impl Borrow<[Item]> for Itemset {
+    fn borrow(&self) -> &[Item] {
+        &self.items
+    }
+}
+
 impl FromIterator<Item> for Itemset {
     fn from_iter<T: IntoIterator<Item = Item>>(iter: T) -> Self {
         Itemset::from_items(iter)
@@ -404,6 +416,31 @@ mod tests {
         assert!(subs.contains(&set(&[1, 3])));
         assert!(!subs.contains(&s));
         assert!(!subs.contains(&Itemset::empty()));
+    }
+
+    #[test]
+    fn hash_set_probes_by_slice_agree_with_probes_by_itemset() {
+        use std::collections::{BTreeSet, HashSet};
+        let sets = [
+            set(&[1, 2]),
+            set(&[1, 3]),
+            set(&[2, 5, 7]),
+            Itemset::empty(),
+        ];
+        let hashed: HashSet<Itemset> = sets.iter().cloned().collect();
+        let ordered: BTreeSet<Itemset> = sets.iter().cloned().collect();
+        let probes = [
+            set(&[1, 2]),
+            set(&[2, 1, 9]),
+            set(&[2, 5, 7]),
+            set(&[5]),
+            Itemset::empty(),
+        ];
+        for probe in &probes {
+            let slice: &[Item] = probe.items();
+            assert_eq!(hashed.contains(slice), hashed.contains(probe), "{probe}");
+            assert_eq!(ordered.contains(slice), ordered.contains(probe), "{probe}");
+        }
     }
 
     #[test]

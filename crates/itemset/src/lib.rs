@@ -14,8 +14,9 @@
 //!   low-cardinality databases where tid-set intersection pays per
 //!   transaction instead of per distinct profile,
 //! * [`candidate`] — Apriori-style level-wise candidate generation,
-//!   including the asymmetric extension generator required by the
-//!   constraint-pushing algorithms BMS++ / BMS**.
+//!   including the canonical witness join required by the
+//!   constraint-pushing algorithms BMS++ / BMS** and allocation-free
+//!   subset probes.
 
 #![warn(missing_docs)]
 
@@ -34,7 +35,7 @@ pub use counting::{
 };
 pub use database::TransactionDb;
 pub use fptree::{DegradationRung, FpTree, FpTreeCounter};
-pub use item::Item;
+pub use item::{Item, ItemMask};
 pub use itemset::Itemset;
 pub use tidset::TidSet;
 pub use vertical::VerticalIndex;

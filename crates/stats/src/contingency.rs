@@ -57,6 +57,11 @@ impl ContingencyTable {
         &self.set
     }
 
+    /// Consumes the table, handing back its itemset without a copy.
+    pub fn into_itemset(self) -> Itemset {
+        self.set
+    }
+
     /// Observed cell counts (length `2^k`, bit `j` of the index = item `j`
     /// present).
     pub fn counts(&self) -> &[u64] {
