@@ -8,6 +8,11 @@
 //! strategy. The headline number is the prefix-sharing vertical batch's
 //! speedup over per-candidate vertical counting.
 //!
+//! The `fptree_crossover` sweep sets `Auto`'s FP-tree budget: on a
+//! dense 30-item Quest shape it folds the baskets onto a given number of
+//! distinct profiles and times the FP-tree against the vertical index,
+//! build and one level batch, at two database sizes (DESIGN.md §6.4).
+//!
 //! ```text
 //! cargo run --release -p ccs-bench --bin counting_baseline [-- --out <dir>]
 //! ```
@@ -20,9 +25,11 @@ use std::time::Instant;
 use ccs_bench::DataMethod;
 use ccs_constraints::{AttributeTable, Constraint, ConstraintSet};
 use ccs_core::{
-    Algorithm, CheckpointCadence, CheckpointPolicy, CorrelationQuery, CountingStrategy,
-    GuardLimits, MineRequest, MiningError, MiningParams, MiningSession, RunGuard,
+    fptree_profile_budget, Algorithm, AutoRoute, CheckpointCadence, CheckpointPolicy,
+    CorrelationQuery, CountingStrategy, GuardLimits, MineRequest, MiningError, MiningParams,
+    MiningSession, RunGuard,
 };
+use ccs_datagen::{generate_quest, QuestParams};
 use ccs_itemset::{
     FpTreeCounter, HorizontalCounter, Itemset, MintermCounter, TransactionDb, VerticalCounter,
 };
@@ -53,8 +60,131 @@ const DENSE_LC_ITEMS: u32 = 28;
 const DENSE_LC_BASKETS: usize = 40_000;
 const DENSE_LC_CANDIDATES: usize = 400;
 
+/// The crossover sweep's shape: dense-deep's Quest parameters (30 items,
+/// generator mean basket length 12, so ~8.8 items per basket, density
+/// ~0.3), at each of these sizes…
+const CROSSOVER_ITEMS: u32 = 30;
+const CROSSOVER_BASKETS: [usize; 2] = [10_000, 40_000];
+/// …folded onto this many distinct baskets (`None`: the Quest baskets
+/// as generated, which hardly repeat).
+const CROSSOVER_PROFILES: [Option<usize>; 8] = [
+    Some(8),
+    Some(32),
+    Some(64),
+    Some(128),
+    Some(256),
+    Some(512),
+    Some(1024),
+    None,
+];
+/// The level counted at every point: the 4-sets with at least this
+/// relative support in the 10 000-basket Quest database — a dense
+/// miner level whose candidates span the whole universe.
+const CROSSOVER_LEVEL_SUPPORT: f64 = 0.002;
+
+/// The first `profiles` distinct baskets of `base`, in tid order, cycled
+/// over `base.len()` transactions.
+fn fold_onto_profiles(base: &TransactionDb, profiles: usize) -> TransactionDb {
+    let mut seen = std::collections::HashSet::new();
+    let pool: Vec<&[ccs_itemset::Item]> = base
+        .transactions()
+        .filter(|t| seen.insert(*t))
+        .take(profiles)
+        .collect();
+    TransactionDb::new(
+        base.n_items(),
+        (0..base.len()).map(|i| pool[i % pool.len()].to_vec()),
+    )
+}
+
+/// Median seconds of `REPS` calls to `build`, after one warm-up call.
+fn time_build<T>(mut build: impl FnMut() -> T) -> f64 {
+    std::hint::black_box(build());
+    let mut secs: Vec<f64> = (0..REPS)
+        .map(|_| {
+            let t0 = Instant::now();
+            std::hint::black_box(build());
+            t0.elapsed().as_secs_f64()
+        })
+        .collect();
+    secs.sort_unstable_by(f64::total_cmp);
+    secs[REPS / 2]
+}
+
+/// One point of the crossover sweep.
+struct CrossoverPoint {
+    transactions: usize,
+    distinct: usize,
+    route: AutoRoute,
+    vertical_build: f64,
+    vertical_batch: f64,
+    fptree_build: f64,
+    fptree_batch: f64,
+}
+
+impl CrossoverPoint {
+    fn measure(db: &TransactionDb, level: &[Itemset]) -> CrossoverPoint {
+        let batch = |counter: &mut dyn MintermCounter, level: &[Itemset]| {
+            std::hint::black_box(counter.minterm_counts_batch(level));
+        };
+        let mut vertical = VerticalCounter::new(db);
+        let mut fptree = FpTreeCounter::new(db);
+        assert_eq!(
+            vertical.minterm_counts_batch(level),
+            fptree.minterm_counts_batch(level),
+            "fp-tree and vertical batches disagree"
+        );
+        CrossoverPoint {
+            transactions: db.len(),
+            distinct: db.distinct_transactions_up_to(usize::MAX),
+            route: AutoRoute::of(db),
+            vertical_build: time_build(|| VerticalCounter::new(db)),
+            vertical_batch: time_level(&mut vertical, level, |c, l| batch(c, l)).0,
+            fptree_build: time_build(|| FpTreeCounter::new(db)),
+            fptree_batch: time_level(&mut fptree, level, |c, l| batch(c, l)).0,
+        }
+    }
+
+    fn batch_ratio(&self) -> f64 {
+        self.fptree_batch / self.vertical_batch
+    }
+
+    fn total_ratio(&self) -> f64 {
+        (self.fptree_build + self.fptree_batch) / (self.vertical_build + self.vertical_batch)
+    }
+}
+
+/// Whole unguarded mines of one shape per counter, median of `REPS`,
+/// each on a fresh session so the counter's build is paid as a
+/// `ccs mine` run pays it.
+fn time_whole_mine(
+    db: &TransactionDb,
+    algorithm: Algorithm,
+    strategy: CountingStrategy,
+) -> Result<f64, MiningError> {
+    let attrs = AttributeTable::with_identity_prices(db.n_items());
+    let query = CorrelationQuery {
+        params: MiningParams {
+            support_fraction: 0.02,
+            ..MiningParams::paper()
+        },
+        constraints: ConstraintSet::new()
+            .and(Constraint::max_le("price", f64::from(db.n_items() / 2))),
+    };
+    let request = MineRequest::new(algorithm).strategy(strategy);
+    let mut secs = Vec::with_capacity(REPS);
+    MiningSession::new(db, &attrs).mine(&query, &request)?; // warm-up
+    for _ in 0..REPS {
+        let t0 = Instant::now();
+        std::hint::black_box(MiningSession::new(db, &attrs).mine(&query, &request)?);
+        secs.push(t0.elapsed().as_secs_f64());
+    }
+    secs.sort_unstable_by(f64::total_cmp);
+    Ok(secs[REPS / 2])
+}
+
 /// Deterministic profile-clustered baskets: three overlapping modules
-/// switched by small moduli plus one rotating tail item — 32 distinct
+/// switched by small moduli plus one rotating tail item — 16 distinct
 /// basket shapes across 40 000 transactions, avg length ≈ 14 of 28
 /// items (density ≈ 0.5, exactly the shape `Auto` routes to `fp-tree`).
 fn dense_low_cardinality_db() -> TransactionDb {
@@ -362,6 +492,69 @@ fn main() -> Result<(), Box<dyn Error>> {
         });
     }
 
+    // The FP-tree/vertical crossover: distinct baskets × n on dense-deep's
+    // shape, one level batch per counter plus each counter's build.
+    let crossover_bases: Vec<TransactionDb> = CROSSOVER_BASKETS
+        .iter()
+        .map(|&n| {
+            generate_quest(&QuestParams {
+                avg_transaction_len: 12.0,
+                ..QuestParams::small(n, CROSSOVER_ITEMS, 7)
+            })
+        })
+        .collect();
+    let crossover_level: Vec<Itemset> = {
+        let base = &crossover_bases[0];
+        let mut counter = VerticalCounter::new(base);
+        let min_support = (CROSSOVER_LEVEL_SUPPORT * base.len() as f64).ceil() as u64;
+        let mut all = Vec::new();
+        for a in 0..CROSSOVER_ITEMS {
+            for b in a + 1..CROSSOVER_ITEMS {
+                for c in b + 1..CROSSOVER_ITEMS {
+                    all.extend((c + 1..CROSSOVER_ITEMS).map(|d| Itemset::from_ids([a, b, c, d])));
+                }
+            }
+        }
+        let tables = counter.minterm_counts_batch(&all);
+        all.into_iter()
+            .zip(tables)
+            // The last cell is the one with every item present.
+            .filter(|(_, cells)| cells[cells.len() - 1] >= min_support)
+            .map(|(set, _)| set)
+            .collect()
+    };
+    let mut crossover: Vec<CrossoverPoint> = Vec::new();
+    for base in &crossover_bases {
+        for profiles in CROSSOVER_PROFILES {
+            let db = match profiles {
+                Some(p) => fold_onto_profiles(base, p),
+                None => base.clone(),
+            };
+            crossover.push(CrossoverPoint::measure(&db, &crossover_level));
+        }
+    }
+    // Whole mines on collapsed shapes, where the build is paid once per
+    // run: short baskets over a tiny universe (too little counting to
+    // repay the FP-tree build) against long ones.
+    let short_collapsed =
+        TransactionDb::from_ids(4, (0..70_000u32).map(|t| vec![t % 4, (t + 1) % 4]));
+    let long_collapsed = fold_onto_profiles(&crossover_bases[1], 64);
+    let mut whole_mines: Vec<(&str, f64, Algorithm, f64, f64)> = Vec::new();
+    for (shape, db) in [
+        ("short_4_items", &short_collapsed),
+        ("long_64_profiles", &long_collapsed),
+    ] {
+        for algorithm in [Algorithm::BmsPlusPlus, Algorithm::BmsStarStar] {
+            whole_mines.push((
+                shape,
+                db.avg_transaction_len(),
+                algorithm,
+                time_whole_mine(db, algorithm, CountingStrategy::Vertical)?,
+                time_whole_mine(db, algorithm, CountingStrategy::FpTree)?,
+            ));
+        }
+    }
+
     // Durability overhead: a complete governed BMS++ mine on the dense
     // database, with and without every-level checkpointing into a real
     // file (atomic temp + fsync + rename per stamp). The guard is armed
@@ -432,18 +625,14 @@ fn main() -> Result<(), Box<dyn Error>> {
     .collect();
     let rustflags = std::env::var("RUSTFLAGS")
         .unwrap_or_else(|_| String::from("(unset; .cargo/config.toml: -C target-cpu=x86-64-v2)"));
-    // What `Auto` picks for each bench shape (a function of the shape
-    // alone, so the same on every host).
+    // What `Auto` picks for each bench shape (a function of the database
+    // alone, so the same on every host). `dense_diverse` is dense-deep's
+    // shape: dense, long baskets that hardly repeat.
     let routing = [
-        ("dense", CountingStrategy::Auto.resolve(&db, None, None)),
-        (
-            "sparse",
-            CountingStrategy::Auto.resolve(&sparse_db, None, None),
-        ),
-        (
-            "dense_low_cardinality",
-            CountingStrategy::Auto.resolve(&lc_db, None, None),
-        ),
+        ("dense", AutoRoute::of(&db)),
+        ("sparse", AutoRoute::of(&sparse_db)),
+        ("dense_low_cardinality", AutoRoute::of(&lc_db)),
+        ("dense_diverse", AutoRoute::of(&crossover_bases[0])),
     ];
 
     println!(
@@ -477,9 +666,10 @@ fn main() -> Result<(), Box<dyn Error>> {
             r.tables_per_sec()
         );
     }
+    let lc_distinct = lc_db.distinct_transactions_up_to(usize::MAX);
     println!(
         "dense low-cardinality shape ({DENSE_LC_ITEMS} items, {DENSE_LC_BASKETS} baskets, \
-         {DENSE_LC_CANDIDATES} candidates, ~32 distinct profiles):"
+         {DENSE_LC_CANDIDATES} candidates, {lc_distinct} distinct profiles):"
     );
     for r in &lc_rows {
         println!(
@@ -493,9 +683,50 @@ fn main() -> Result<(), Box<dyn Error>> {
     println!(
         "fptree batch speedup over vertical batch (dense low-cardinality): {fptree_speedup:.2}x"
     );
+    println!(
+        "fp-tree crossover ({CROSSOVER_ITEMS} items, {} candidate 4-sets; times in ms; \
+         budget: Auto's distinct-basket limit):",
+        crossover_level.len()
+    );
+    println!(
+        "{:>7} {:>9} {:>9} {:>11} {:>11} {:>9} {:>9} {:>9} {:>9}  auto",
+        "n",
+        "distinct",
+        "budget",
+        "vert build",
+        "vert batch",
+        "fp build",
+        "fp batch",
+        "fp/vert",
+        "w/ build"
+    );
+    for p in &crossover {
+        println!(
+            "{:>7} {:>9} {:>9} {:>11.3} {:>11.3} {:>9.3} {:>9.3} {:>9.2} {:>9.2}  {}",
+            p.transactions,
+            p.distinct,
+            fptree_profile_budget(p.transactions),
+            p.vertical_build * 1e3,
+            p.vertical_batch * 1e3,
+            p.fptree_build * 1e3,
+            p.fptree_batch * 1e3,
+            p.batch_ratio(),
+            p.total_ratio(),
+            p.route.strategy()
+        );
+    }
+    println!("whole mines on collapsed shapes (fresh session per run, ms):");
+    for (shape, avg_len, algorithm, vertical, fptree) in &whole_mines {
+        println!(
+            "  {shape} (mean basket {avg_len:.1}) {algorithm}: vertical {:.3}, fp-tree {:.3} ({:.2}x)",
+            vertical * 1e3,
+            fptree * 1e3,
+            fptree / vertical
+        );
+    }
     println!("auto routing:");
-    for (shape, strategy) in &routing {
-        println!("  {shape}: {strategy}");
+    for (shape, route) in &routing {
+        println!("  {shape}: {route}");
     }
     println!("checkpoint overhead (full BMS++ mine, armed guard both sides):");
     println!(
@@ -557,7 +788,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         "    \"auto_routing\": {{ {} }} }},",
         routing
             .iter()
-            .map(|(shape, strategy)| format!("\"{shape}\": \"{strategy}\""))
+            .map(|(shape, route)| format!("\"{shape}\": \"{}\"", route.strategy()))
             .collect::<Vec<_>>()
             .join(", ")
     );
@@ -597,7 +828,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         json,
         "  \"dense_low_cardinality\": {{ \"items\": {DENSE_LC_ITEMS}, \
          \"transactions\": {DENSE_LC_BASKETS}, \"candidates\": {DENSE_LC_CANDIDATES}, \
-         \"distinct_profiles\": 32, \"strategies\": ["
+         \"distinct_profiles\": {lc_distinct}, \"strategies\": ["
     );
     for (i, r) in lc_rows.iter().enumerate() {
         let _ = writeln!(
@@ -615,6 +846,45 @@ fn main() -> Result<(), Box<dyn Error>> {
         json,
         "  ], \"fptree_batch_speedup_over_vertical_batch\": {fptree_speedup:.2} }},"
     );
+    let _ = writeln!(
+        json,
+        "  \"fptree_crossover\": {{ \"items\": {CROSSOVER_ITEMS}, \
+         \"candidates\": {}, \"candidate_size\": {CANDIDATE_SIZE}, \
+         \"level_min_support\": {CROSSOVER_LEVEL_SUPPORT}, \"points\": [",
+        crossover_level.len()
+    );
+    for (i, p) in crossover.iter().enumerate() {
+        let _ = writeln!(
+            json,
+            "    {{ \"transactions\": {}, \"distinct_baskets\": {}, \"budget\": {}, \
+             \"auto\": \"{}\", \"vertical_build_ms\": {:.3}, \"vertical_batch_ms\": {:.3}, \
+             \"fptree_build_ms\": {:.3}, \"fptree_batch_ms\": {:.3}, \
+             \"fptree_over_vertical_batch\": {:.2}, \"fptree_over_vertical_with_build\": {:.2} }}{}",
+            p.transactions,
+            p.distinct,
+            fptree_profile_budget(p.transactions),
+            p.route.strategy(),
+            p.vertical_build * 1e3,
+            p.vertical_batch * 1e3,
+            p.fptree_build * 1e3,
+            p.fptree_batch * 1e3,
+            p.batch_ratio(),
+            p.total_ratio(),
+            if i + 1 < crossover.len() { "," } else { "" }
+        );
+    }
+    json.push_str("  ], \"whole_mines\": [\n");
+    for (i, (shape, avg_len, algorithm, vertical, fptree)) in whole_mines.iter().enumerate() {
+        let _ = writeln!(
+            json,
+            "    {{ \"shape\": \"{shape}\", \"avg_basket_len\": {avg_len:.2}, \
+             \"algorithm\": \"{algorithm}\", \"vertical_ms\": {:.3}, \"fptree_ms\": {:.3} }}{}",
+            vertical * 1e3,
+            fptree * 1e3,
+            if i + 1 < whole_mines.len() { "," } else { "" }
+        );
+    }
+    json.push_str("  ] },\n");
     let _ = writeln!(
         json,
         "  \"checkpoint_overhead\": {{ \

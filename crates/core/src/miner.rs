@@ -92,38 +92,160 @@ pub enum CountingStrategy {
     Auto,
 }
 
-/// `Auto` routes to the FP-tree counter only when the item universe is
-/// small enough that conditional projections stay compact…
-const FPTREE_MAX_ITEMS: u32 = 512;
-/// …and transactions are long enough that they collapse into shared
-/// tree prefixes…
+/// `Auto` routes to the FP-tree counter only when the database has at
+/// most one distinct basket per this many transactions. The FP-tree
+/// pays per distinct profile where tid-sets pay per transaction; the
+/// `fptree_crossover` sweep of `counting_baseline`
+/// (`results/BENCH_counting.json`, DESIGN.md §6.4) puts the batch
+/// crossover between one profile per ~300 transactions (10 000
+/// baskets) and one per ~80 (40 000), and the budget sits on the
+/// vertical side of both because a wrong FP-tree pick costs far more
+/// than a wrong vertical one.
+const FPTREE_TRANSACTIONS_PER_PROFILE: usize = 512;
+
+/// Below this mean basket length `Auto` never picks the FP-tree, however
+/// few profiles there are: a short-basket mine counts too little to
+/// repay the tree's build, which costs a hash probe per item occurrence
+/// against the vertical index's bit set (DESIGN.md §6.4).
 const FPTREE_MIN_AVG_LEN: f64 = 8.0;
-/// …and the database is dense enough (avg transaction length / items)
-/// that tid-set intersection pays per transaction for work the tree
-/// answers per distinct profile.
-const FPTREE_MIN_DENSITY: f64 = 0.2;
+
+/// The most distinct baskets a database of `n` transactions may hold
+/// for `Auto` to pick the FP-tree.
+pub fn fptree_profile_budget(n: usize) -> usize {
+    n / FPTREE_TRANSACTIONS_PER_PROFILE
+}
+
+/// How [`CountingStrategy::Auto`] routed one database, with the fact
+/// that decided it. The route is a function of the database alone, so
+/// the same database resolves identically on every host; `Display`
+/// names the strategy and the fact, as `ccs mine --counting auto`
+/// prints them.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum AutoRoute {
+    /// No transactions: counting does nothing, so horizontal avoids even
+    /// the index build.
+    Empty,
+    /// Per-item bitmaps would be enormous *and* nearly empty (a huge
+    /// sparse universe): horizontal scans.
+    HugeSparse {
+        /// Bytes the vertical index's bitmaps would take.
+        bitmap_bytes: usize,
+        /// Mean basket length over the item universe.
+        density: f64,
+    },
+    /// Baskets too short for the FP-tree to repay its build: vertical.
+    ShortBaskets {
+        /// Mean basket length.
+        avg_len: f64,
+    },
+    /// Decided by the distinct-basket budget: the FP-tree when
+    /// `distinct <= budget`, vertical otherwise.
+    Profiles {
+        /// Distinct baskets, counted no further than `budget + 1`.
+        distinct: usize,
+        /// [`fptree_profile_budget`] of `transactions`.
+        budget: usize,
+        /// Transactions in the database.
+        transactions: usize,
+    },
+}
+
+impl AutoRoute {
+    /// Routes `db`. A database with many distinct baskets costs about
+    /// `budget + 1` basket hashes to route; a collapsed one, one hash
+    /// per transaction.
+    pub fn of(db: &TransactionDb) -> AutoRoute {
+        let n = db.len();
+        if n == 0 {
+            return AutoRoute::Empty;
+        }
+        // Vertical index footprint: one n-bit bitmap per item.
+        let bitmap_bytes = (db.n_items() as usize).saturating_mul(n.div_ceil(64) * 8);
+        let avg_len = db.avg_transaction_len();
+        let density = avg_len / f64::from(db.n_items().max(1));
+        if bitmap_bytes > (1 << 30) && density < 0.005 {
+            return AutoRoute::HugeSparse {
+                bitmap_bytes,
+                density,
+            };
+        }
+        if avg_len < FPTREE_MIN_AVG_LEN {
+            return AutoRoute::ShortBaskets { avg_len };
+        }
+        let budget = fptree_profile_budget(n);
+        AutoRoute::Profiles {
+            distinct: db.distinct_transactions_up_to(budget.saturating_add(1)),
+            budget,
+            transactions: n,
+        }
+    }
+
+    /// The concrete strategy this route picks (never `Auto`).
+    pub fn strategy(self) -> CountingStrategy {
+        match self {
+            AutoRoute::Empty | AutoRoute::HugeSparse { .. } => CountingStrategy::Horizontal,
+            AutoRoute::ShortBaskets { .. } => CountingStrategy::Vertical,
+            AutoRoute::Profiles {
+                distinct, budget, ..
+            } if distinct <= budget => CountingStrategy::FpTree,
+            AutoRoute::Profiles { .. } => CountingStrategy::Vertical,
+        }
+    }
+}
+
+impl std::fmt::Display for AutoRoute {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let strategy = self.strategy();
+        match *self {
+            AutoRoute::Empty => write!(f, "{strategy}: the database is empty"),
+            AutoRoute::HugeSparse {
+                bitmap_bytes,
+                density,
+            } => write!(
+                f,
+                "{strategy}: vertical bitmaps would take {} MiB at density {density:.4}",
+                bitmap_bytes >> 20
+            ),
+            AutoRoute::ShortBaskets { avg_len } => write!(
+                f,
+                "{strategy}: mean basket length {avg_len:.1} (fp-tree needs ≥{FPTREE_MIN_AVG_LEN})"
+            ),
+            AutoRoute::Profiles {
+                distinct,
+                budget,
+                transactions,
+            } => {
+                let more = if distinct > budget { ">" } else { "" };
+                write!(
+                    f,
+                    "{strategy}: {more}{} distinct baskets of {transactions} \
+                     (fp-tree needs ≤{budget})",
+                    distinct.min(budget)
+                )
+            }
+        }
+    }
+}
 
 impl CountingStrategy {
     /// The names [`std::str::FromStr`] accepts, as error messages list
     /// them.
     pub const CHOICES: &'static str = "horizontal, vertical, fp-tree, auto";
 
-    /// Resolves `Auto` to a concrete strategy from the database shape
-    /// alone, so the same database resolves identically on every host.
-    /// Non-`Auto` strategies return themselves. The two trailing
-    /// arguments are ignored; they remain only so existing callers keep
-    /// compiling.
+    /// Resolves `Auto` to a concrete strategy by [`AutoRoute::of`]: from
+    /// the database alone, so the same database resolves identically on
+    /// every host. Non-`Auto` strategies return themselves. The two
+    /// trailing arguments are ignored; they remain only so existing
+    /// callers keep compiling.
     ///
-    /// An empty database counts nothing (horizontal avoids even the
-    /// index build); a database whose per-item bitmaps would be enormous
-    /// *and* nearly empty (huge sparse universe) stays horizontal. Dense
-    /// low-cardinality shapes — a small item universe with long
-    /// transactions, where baskets collapse into few distinct profiles —
-    /// route to the FP-tree pattern-growth counter, whose cost tracks
-    /// distinct profiles rather than transactions (DESIGN.md §6.4).
-    /// Everything else uses the vertical index, which dominates
-    /// horizontal scanning by orders of magnitude on the benchmark
-    /// shapes (`results/BENCH_counting.json`).
+    /// An empty database, or a huge sparse one, counts horizontally.
+    /// The FP-tree pattern-growth counter, whose cost tracks distinct
+    /// profiles rather than transactions (DESIGN.md §6.4), is picked
+    /// only when baskets are long and actually collapse: at most
+    /// [`fptree_profile_budget`] distinct baskets. Everything else uses
+    /// the vertical index, which dominates horizontal scanning by orders
+    /// of magnitude on the benchmark shapes
+    /// (`results/BENCH_counting.json`).
     pub fn resolve(
         self,
         db: &TransactionDb,
@@ -133,23 +255,7 @@ impl CountingStrategy {
         if self != CountingStrategy::Auto {
             return self;
         }
-        let n = db.len();
-        if n == 0 {
-            return CountingStrategy::Horizontal;
-        }
-        // Vertical index footprint: one n-bit bitmap per item.
-        let bitmap_bytes = (db.n_items() as usize).saturating_mul(n.div_ceil(64) * 8);
-        let density = db.avg_transaction_len() / f64::from(db.n_items().max(1));
-        if bitmap_bytes > (1 << 30) && density < 0.005 {
-            return CountingStrategy::Horizontal;
-        }
-        if db.n_items() <= FPTREE_MAX_ITEMS
-            && db.avg_transaction_len() >= FPTREE_MIN_AVG_LEN
-            && density >= FPTREE_MIN_DENSITY
-        {
-            return CountingStrategy::FpTree;
-        }
-        CountingStrategy::Vertical
+        AutoRoute::of(db).strategy()
     }
 
     /// The CLI-facing name (also what [`std::str::FromStr`] accepts).
@@ -325,8 +431,7 @@ mod tests {
         let empty = TransactionDb::from_ids(3, Vec::<Vec<u32>>::new());
         let big = TransactionDb::from_ids(4, (0..5000u32).map(|t| vec![t % 4, (t + 1) % 4]));
         let huge = TransactionDb::from_ids(4, (0..70_000u32).map(|t| vec![t % 4, (t + 1) % 4]));
-        // Dense low-cardinality: long transactions over a small item
-        // universe collapse into few profiles, so pattern growth wins.
+        // Long baskets collapsing into three profiles: the FP-tree.
         let dense = TransactionDb::from_ids(
             33,
             (0..5000u32).map(|t| (0..16).map(|j| (t % 3) + 2 * j).collect::<Vec<_>>()),
@@ -344,10 +449,137 @@ mod tests {
                     assert_eq!(Auto.resolve(db, threads, shards), expected);
                 }
             }
+            assert_eq!(AutoRoute::of(db).strategy(), expected);
         }
         // Concrete strategies are fixed points.
         for s in [Horizontal, Vertical, FpTree] {
             assert_eq!(s.resolve(&small, None, None), s);
+        }
+    }
+
+    /// A cheap deterministic bit mixer for synthetic baskets.
+    fn mix(t: u32, j: u32) -> u32 {
+        let h = t.wrapping_mul(0x9E37_79B9) ^ j.wrapping_mul(0x85EB_CA6B);
+        h.wrapping_mul(0xC2B2_AE35) ^ (h >> 15)
+    }
+
+    #[test]
+    fn dense_but_diverse_database_routes_to_vertical() {
+        // Dense by every shape proxy — 30 items, long baskets, density
+        // ~1/3 — but the baskets hardly repeat, so the tree would hold a
+        // path per basket.
+        let db = TransactionDb::from_ids(
+            30,
+            (0..5000u32).map(|t| {
+                (0..30)
+                    .filter(|&j| mix(t, j).is_multiple_of(3))
+                    .collect::<Vec<_>>()
+            }),
+        );
+        assert!(db.n_items() <= 512);
+        assert!(
+            db.avg_transaction_len() >= 8.0,
+            "{}",
+            db.avg_transaction_len()
+        );
+        assert!(db.avg_transaction_len() / 30.0 >= 0.2);
+        assert!(db.distinct_transactions_up_to(usize::MAX) >= 4000);
+        let route = AutoRoute::of(&db);
+        assert_eq!(route.strategy(), CountingStrategy::Vertical);
+        assert_eq!(
+            route,
+            AutoRoute::Profiles {
+                distinct: 10,
+                budget: 9,
+                transactions: 5000
+            }
+        );
+        assert_eq!(
+            route.to_string(),
+            "vertical: >9 distinct baskets of 5000 (fp-tree needs ≤9)"
+        );
+    }
+
+    /// Long basket number `p` over 30 items: 8 shared items plus `p`'s
+    /// bits over items 8..30, so distinct `p` give distinct baskets.
+    fn profile(p: u32) -> Vec<u32> {
+        (0..8)
+            .chain((0..22).filter(|b| p >> b & 1 == 1).map(|b| 8 + b))
+            .collect()
+    }
+
+    /// `n` transactions cycling through `distinct` profiles.
+    fn profiles_db(n: usize, distinct: u32) -> TransactionDb {
+        TransactionDb::from_ids(30, (0..n).map(|i| profile(i as u32 % distinct)))
+    }
+
+    #[test]
+    fn profile_budget_boundary() {
+        let n = 40 * 512;
+        let budget = fptree_profile_budget(n);
+        assert_eq!(budget, 40);
+        let at = AutoRoute::of(&profiles_db(n, 40));
+        assert_eq!(at.strategy(), CountingStrategy::FpTree);
+        assert_eq!(
+            at.to_string(),
+            "fp-tree: 40 distinct baskets of 20480 (fp-tree needs ≤40)"
+        );
+        let over = AutoRoute::of(&profiles_db(n, 41));
+        assert_eq!(over.strategy(), CountingStrategy::Vertical);
+        assert_eq!(
+            over.to_string(),
+            "vertical: >40 distinct baskets of 20480 (fp-tree needs ≤40)"
+        );
+        // Short baskets never reach the budget, however few profiles.
+        let short = TransactionDb::from_ids(4, (0..n as u32).map(|t| vec![t % 4, (t + 1) % 4]));
+        assert_eq!(
+            AutoRoute::of(&short).to_string(),
+            "vertical: mean basket length 2.0 (fp-tree needs ≥8)"
+        );
+        assert_eq!(
+            AutoRoute::of(&TransactionDb::from_ids(3, Vec::<Vec<u32>>::new())).to_string(),
+            "horizontal: the database is empty"
+        );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 64,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        #[test]
+        fn route_ignores_transaction_order(
+            distinct in 1u32..12,
+            blocks in 1usize..5,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            // Profiles drawn at random, so some appear more often than
+            // others (and some not at all).
+            let n = blocks * 512;
+            let mut state = seed;
+            let mut next = move || {
+                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let z = (state ^ (state >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z ^ (z >> 31)
+            };
+            let mut txns: Vec<Vec<u32>> = (0..n)
+                .map(|_| profile((next() % u64::from(distinct)) as u32))
+                .collect();
+            let db = TransactionDb::from_ids(30, txns.clone());
+            for i in (1..txns.len()).rev() {
+                txns.swap(i, (next() % (i as u64 + 1)) as usize);
+            }
+            let permuted = TransactionDb::from_ids(30, txns);
+            let route = AutoRoute::of(&db);
+            proptest::prop_assert_eq!(route, AutoRoute::of(&permuted));
+            let exact = db.transactions().collect::<std::collections::BTreeSet<_>>().len();
+            let expected = if exact <= fptree_profile_budget(n) {
+                CountingStrategy::FpTree
+            } else {
+                CountingStrategy::Vertical
+            };
+            proptest::prop_assert_eq!(route.strategy(), expected);
         }
     }
 

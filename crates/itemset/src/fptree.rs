@@ -10,7 +10,7 @@
 //! prefixes*, not the number of transactions. Counting then works on
 //! the tree, so its cost is independent of how many baskets share a
 //! profile — the regime where pattern growth beats Apriori-shaped
-//! candidate intersection off its home turf (ROADMAP item 3).
+//! candidate intersection off its home turf.
 //!
 //! # Tree layout
 //!

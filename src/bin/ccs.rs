@@ -454,19 +454,20 @@ fn parse_checkpoint(flags: &Flags<'_>) -> Result<Option<CheckpointPolicy>, Strin
     Ok(Some(CheckpointPolicy::file(path, cadence)))
 }
 
+/// The line naming the strategy an `auto` run resolved to and the fact
+/// that decided it; `None` when the command line pinned a strategy.
+fn auto_route_line(outcome: &MineOutcome) -> Option<String> {
+    outcome
+        .route
+        .map(|route| format!("auto counting resolved to {route}"))
+}
+
 /// Prints the answers and the run summary, returning the process exit
 /// code: 0 for a complete answer set, 2 for a sound truncated one.
-/// `requested` is the strategy the command line asked for: when it was
-/// `auto`, the summary names the concrete strategy the run resolved to,
-/// so the routing decision is visible.
-fn emit_outcome(
-    outcome: &MineOutcome,
-    requested: CountingStrategy,
-    checkpoint_path: Option<&str>,
-) -> Result<ExitCode, String> {
+fn emit_outcome(outcome: &MineOutcome, checkpoint_path: Option<&str>) -> Result<ExitCode, String> {
     let result = &outcome.result;
-    if requested == CountingStrategy::Auto {
-        eprintln!("auto counting resolved to {}", outcome.strategy);
+    if let Some(line) = auto_route_line(outcome) {
+        eprintln!("{line}");
     }
     let stdout = io::stdout();
     let mut out = BufWriter::new(stdout.lock());
@@ -630,7 +631,7 @@ fn cmd_mine(args: &[String]) -> Result<ExitCode, String> {
     let outcome = MiningSession::new(&db, &attrs)
         .mine(&query, &request)
         .map_err(|e| e.to_string())?;
-    emit_outcome(&outcome, strategy, checkpoint_path)
+    emit_outcome(&outcome, checkpoint_path)
 }
 
 fn cmd_resume(args: &[String]) -> Result<ExitCode, String> {
@@ -709,7 +710,7 @@ fn cmd_resume(args: &[String]) -> Result<ExitCode, String> {
             let outcome = MiningSession::new(&db, &attrs)
                 .mine(&query, &request)
                 .map_err(|e| e.to_string())?;
-            return emit_outcome(&outcome, strategy, Some(path));
+            return emit_outcome(&outcome, Some(path));
         }
         Err(e) => return Err(e.to_string()),
     };
@@ -729,7 +730,7 @@ fn cmd_resume(args: &[String]) -> Result<ExitCode, String> {
     let outcome = MiningSession::new(&db, &attrs)
         .resume(&checkpoint.query, &request, checkpoint.resume)
         .map_err(|e| e.to_string())?;
-    emit_outcome(&outcome, strategy, Some(path))
+    emit_outcome(&outcome, Some(path))
 }
 
 fn cmd_stats(args: &[String]) -> Result<(), String> {
@@ -770,5 +771,51 @@ mod tests {
             assert!(err.contains(flag), "{err}");
             assert!(err.contains(CountingStrategy::CHOICES), "{err}");
         }
+    }
+
+    #[test]
+    fn auto_route_line_names_the_deciding_fact() {
+        let attrs = AttributeTable::with_identity_prices(30);
+        let query = CorrelationQuery {
+            params: MiningParams {
+                max_level: 2,
+                ..MiningParams::paper()
+            },
+            constraints: ConstraintSet::new(),
+        };
+        let mine = |db: &TransactionDb, strategy| {
+            MiningSession::new(db, &attrs)
+                .mine(
+                    &query,
+                    &MineRequest::new(Algorithm::BmsPlus).strategy(strategy),
+                )
+                .unwrap()
+        };
+        // Long basket number `t`: 8 shared items plus `t`'s bits.
+        let basket = |t: u32| -> Vec<u32> {
+            (0..8)
+                .chain((0..14).filter(|b| t >> b & 1 == 1).map(|b| 8 + b))
+                .collect()
+        };
+        // 10 000 distinct baskets: far over the budget.
+        let diverse = TransactionDb::from_ids(30, (0..10_000).map(basket));
+        assert_eq!(
+            auto_route_line(&mine(&diverse, CountingStrategy::Auto)).as_deref(),
+            Some(
+                "auto counting resolved to vertical: >19 distinct baskets of 10000 \
+                 (fp-tree needs ≤19)"
+            )
+        );
+        // 10 000 baskets folded onto 16 profiles: under the budget.
+        let collapsed = TransactionDb::from_ids(30, (0..10_000).map(|t| basket(t % 16)));
+        assert_eq!(
+            auto_route_line(&mine(&collapsed, CountingStrategy::Auto)).as_deref(),
+            Some("auto counting resolved to fp-tree: 16 distinct baskets of 10000 (fp-tree needs ≤19)")
+        );
+        // A pinned strategy prints no routing line.
+        assert_eq!(
+            auto_route_line(&mine(&diverse, CountingStrategy::Vertical)),
+            None
+        );
     }
 }

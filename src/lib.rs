@@ -61,7 +61,7 @@ pub mod prelude {
     };
     pub use ccs_core::{
         discover_causality, fingerprint_db, mine_on, read_checkpoint_file, resume_on,
-        solution_space, write_checkpoint_file, Algorithm, CausalAnalysis, CausalFinding,
+        solution_space, write_checkpoint_file, Algorithm, AutoRoute, CausalAnalysis, CausalFinding,
         Checkpoint, CheckpointCadence, CheckpointError, CheckpointPolicy, CheckpointReport,
         CheckpointSink, CheckpointStatus, Completion, CorrelationQuery, CountingStrategy,
         DbFingerprint, FileSink, GuardLimits, MemorySink, MineOutcome, MineRequest, MiningError,
