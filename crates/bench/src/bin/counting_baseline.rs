@@ -8,10 +8,11 @@
 //! strategy. The headline number is the prefix-sharing vertical batch's
 //! speedup over per-candidate vertical counting.
 //!
-//! The `fptree_crossover` sweep sets `Auto`'s FP-tree budget: on a
-//! dense 30-item Quest shape it folds the baskets onto a given number of
-//! distinct profiles and times the FP-tree against the vertical index,
-//! build and one level batch, at two database sizes (DESIGN.md §6.4).
+//! The `fptree_crossover` sweep is why `Auto` never picks the FP-tree:
+//! on a dense 30-item Quest shape it folds the baskets onto a given
+//! number of distinct profiles and times the FP-tree against the
+//! vertical index, build and one level batch, at two database sizes
+//! (DESIGN.md §6.4).
 //!
 //! ```text
 //! cargo run --release -p ccs-bench --bin counting_baseline [-- --out <dir>]
@@ -25,9 +26,8 @@ use std::time::Instant;
 use ccs_bench::DataMethod;
 use ccs_constraints::{AttributeTable, Constraint, ConstraintSet};
 use ccs_core::{
-    fptree_profile_budget, Algorithm, AutoRoute, CheckpointCadence, CheckpointPolicy,
-    CorrelationQuery, CountingStrategy, GuardLimits, MineRequest, MiningError, MiningParams,
-    MiningSession, RunGuard,
+    Algorithm, AutoRoute, CheckpointCadence, CheckpointPolicy, CorrelationQuery, CountingStrategy,
+    GuardLimits, MineRequest, MiningError, MiningParams, MiningSession, RunGuard,
 };
 use ccs_datagen::{generate_quest, QuestParams};
 use ccs_itemset::{
@@ -82,6 +82,13 @@ const CROSSOVER_PROFILES: [Option<usize>; 8] = [
 /// miner level whose candidates span the whole universe.
 const CROSSOVER_LEVEL_SUPPORT: f64 = 0.002;
 
+/// The number of distinct baskets in `db`.
+fn distinct_baskets(db: &TransactionDb) -> usize {
+    db.transactions()
+        .collect::<std::collections::HashSet<_>>()
+        .len()
+}
+
 /// The first `profiles` distinct baskets of `base`, in tid order, cycled
 /// over `base.len()` transactions.
 fn fold_onto_profiles(base: &TransactionDb, profiles: usize) -> TransactionDb {
@@ -115,7 +122,6 @@ fn time_build<T>(mut build: impl FnMut() -> T) -> f64 {
 struct CrossoverPoint {
     transactions: usize,
     distinct: usize,
-    route: AutoRoute,
     vertical_build: f64,
     vertical_batch: f64,
     fptree_build: f64,
@@ -136,8 +142,7 @@ impl CrossoverPoint {
         );
         CrossoverPoint {
             transactions: db.len(),
-            distinct: db.distinct_transactions_up_to(usize::MAX),
-            route: AutoRoute::of(db),
+            distinct: distinct_baskets(db),
             vertical_build: time_build(|| VerticalCounter::new(db)),
             vertical_batch: time_level(&mut vertical, level, |c, l| batch(c, l)).0,
             fptree_build: time_build(|| FpTreeCounter::new(db)),
@@ -186,7 +191,7 @@ fn time_whole_mine(
 /// Deterministic profile-clustered baskets: three overlapping modules
 /// switched by small moduli plus one rotating tail item — 16 distinct
 /// basket shapes across 40 000 transactions, avg length ≈ 14 of 28
-/// items (density ≈ 0.5, exactly the shape `Auto` routes to `fp-tree`).
+/// items (density ≈ 0.5, the shape where the FP-tree batch wins).
 fn dense_low_cardinality_db() -> TransactionDb {
     let mut txns = Vec::with_capacity(DENSE_LC_BASKETS);
     for i in 0..DENSE_LC_BASKETS as u32 {
@@ -534,8 +539,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         }
     }
     // Whole mines on collapsed shapes, where the build is paid once per
-    // run: short baskets over a tiny universe (too little counting to
-    // repay the FP-tree build) against long ones.
+    // run: short baskets over a tiny universe, and long ones.
     let short_collapsed =
         TransactionDb::from_ids(4, (0..70_000u32).map(|t| vec![t % 4, (t + 1) % 4]));
     let long_collapsed = fold_onto_profiles(&crossover_bases[1], 64);
@@ -666,7 +670,7 @@ fn main() -> Result<(), Box<dyn Error>> {
             r.tables_per_sec()
         );
     }
-    let lc_distinct = lc_db.distinct_transactions_up_to(usize::MAX);
+    let lc_distinct = distinct_baskets(&lc_db);
     println!(
         "dense low-cardinality shape ({DENSE_LC_ITEMS} items, {DENSE_LC_BASKETS} baskets, \
          {DENSE_LC_CANDIDATES} candidates, {lc_distinct} distinct profiles):"
@@ -684,35 +688,24 @@ fn main() -> Result<(), Box<dyn Error>> {
         "fptree batch speedup over vertical batch (dense low-cardinality): {fptree_speedup:.2}x"
     );
     println!(
-        "fp-tree crossover ({CROSSOVER_ITEMS} items, {} candidate 4-sets; times in ms; \
-         budget: Auto's distinct-basket limit):",
+        "fp-tree crossover ({CROSSOVER_ITEMS} items, {} candidate 4-sets; times in ms):",
         crossover_level.len()
     );
     println!(
-        "{:>7} {:>9} {:>9} {:>11} {:>11} {:>9} {:>9} {:>9} {:>9}  auto",
-        "n",
-        "distinct",
-        "budget",
-        "vert build",
-        "vert batch",
-        "fp build",
-        "fp batch",
-        "fp/vert",
-        "w/ build"
+        "{:>7} {:>9} {:>11} {:>11} {:>9} {:>9} {:>9} {:>9}",
+        "n", "distinct", "vert build", "vert batch", "fp build", "fp batch", "fp/vert", "w/ build"
     );
     for p in &crossover {
         println!(
-            "{:>7} {:>9} {:>9} {:>11.3} {:>11.3} {:>9.3} {:>9.3} {:>9.2} {:>9.2}  {}",
+            "{:>7} {:>9} {:>11.3} {:>11.3} {:>9.3} {:>9.3} {:>9.2} {:>9.2}",
             p.transactions,
             p.distinct,
-            fptree_profile_budget(p.transactions),
             p.vertical_build * 1e3,
             p.vertical_batch * 1e3,
             p.fptree_build * 1e3,
             p.fptree_batch * 1e3,
             p.batch_ratio(),
-            p.total_ratio(),
-            p.route.strategy()
+            p.total_ratio()
         );
     }
     println!("whole mines on collapsed shapes (fresh session per run, ms):");
@@ -856,14 +849,12 @@ fn main() -> Result<(), Box<dyn Error>> {
     for (i, p) in crossover.iter().enumerate() {
         let _ = writeln!(
             json,
-            "    {{ \"transactions\": {}, \"distinct_baskets\": {}, \"budget\": {}, \
-             \"auto\": \"{}\", \"vertical_build_ms\": {:.3}, \"vertical_batch_ms\": {:.3}, \
+            "    {{ \"transactions\": {}, \"distinct_baskets\": {}, \
+             \"vertical_build_ms\": {:.3}, \"vertical_batch_ms\": {:.3}, \
              \"fptree_build_ms\": {:.3}, \"fptree_batch_ms\": {:.3}, \
              \"fptree_over_vertical_batch\": {:.2}, \"fptree_over_vertical_with_build\": {:.2} }}{}",
             p.transactions,
             p.distinct,
-            fptree_profile_budget(p.transactions),
-            p.route.strategy(),
             p.vertical_build * 1e3,
             p.vertical_batch * 1e3,
             p.fptree_build * 1e3,

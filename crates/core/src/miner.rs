@@ -82,44 +82,37 @@ pub enum CountingStrategy {
     /// Pattern-growth counting over a compressed FP-tree: conditional
     /// projections are memoized across a batch, so a dense level pays
     /// one projection per header item instead of one tid-set
-    /// intersection per candidate (DESIGN.md §6.4). Wins on dense,
-    /// low-cardinality databases whose transactions collapse into few
-    /// distinct profiles; degrades FpTree → Vertical → Horizontal
-    /// under memory pressure.
+    /// intersection per candidate (DESIGN.md §6.4). Its batch wins on
+    /// dense, low-cardinality databases whose transactions collapse
+    /// into few distinct profiles, but its build is not repaid there,
+    /// so `Auto` never picks it; degrades FpTree → Vertical →
+    /// Horizontal under memory pressure.
     FpTree,
     /// Picks a concrete strategy from the database shape at mining
     /// time; see [`CountingStrategy::resolve`].
     Auto,
 }
 
-/// `Auto` routes to the FP-tree counter only when the database has at
-/// most one distinct basket per this many transactions. The FP-tree
-/// pays per distinct profile where tid-sets pay per transaction; the
-/// `fptree_crossover` sweep of `counting_baseline`
-/// (`results/BENCH_counting.json`, DESIGN.md §6.4) puts the batch
-/// crossover between one profile per ~300 transactions (10 000
-/// baskets) and one per ~80 (40 000), and the budget sits on the
-/// vertical side of both because a wrong FP-tree pick costs far more
-/// than a wrong vertical one.
-const FPTREE_TRANSACTIONS_PER_PROFILE: usize = 512;
+/// `Auto` counts horizontally only when the vertical index's bitmaps
+/// would take more than this many bytes…
+const HUGE_BITMAP_BYTES: usize = 1 << 30;
 
-/// Below this mean basket length `Auto` never picks the FP-tree, however
-/// few profiles there are: a short-basket mine counts too little to
-/// repay the tree's build, which costs a hash probe per item occurrence
-/// against the vertical index's bit set (DESIGN.md §6.4).
-const FPTREE_MIN_AVG_LEN: f64 = 8.0;
-
-/// The most distinct baskets a database of `n` transactions may hold
-/// for `Auto` to pick the FP-tree.
-pub fn fptree_profile_budget(n: usize) -> usize {
-    n / FPTREE_TRANSACTIONS_PER_PROFILE
-}
+/// …and hold fewer set bits than this fraction (mean basket length over
+/// the item universe).
+const SPARSE_DENSITY: f64 = 0.005;
 
 /// How [`CountingStrategy::Auto`] routed one database, with the fact
 /// that decided it. The route is a function of the database alone, so
 /// the same database resolves identically on every host; `Display`
 /// names the strategy and the fact, as `ccs mine --counting auto`
 /// prints them.
+///
+/// `Auto` never picks the FP-tree. Its build costs 8–17× the vertical
+/// index's, and in the `fptree_crossover` sweep of `counting_baseline`
+/// (`results/BENCH_counting.json`, DESIGN.md §6.4) build plus one level
+/// batch is slower than on the vertical index at every point, however
+/// few distinct baskets the database holds. `fp-tree` stays an explicit
+/// choice.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AutoRoute {
     /// No transactions: counting does nothing, so horizontal avoids even
@@ -133,27 +126,17 @@ pub enum AutoRoute {
         /// Mean basket length over the item universe.
         density: f64,
     },
-    /// Baskets too short for the FP-tree to repay its build: vertical.
-    ShortBaskets {
-        /// Mean basket length.
-        avg_len: f64,
-    },
-    /// Decided by the distinct-basket budget: the FP-tree when
-    /// `distinct <= budget`, vertical otherwise.
-    Profiles {
-        /// Distinct baskets, counted no further than `budget + 1`.
-        distinct: usize,
-        /// [`fptree_profile_budget`] of `transactions`.
-        budget: usize,
-        /// Transactions in the database.
-        transactions: usize,
+    /// Everything else: the vertical index.
+    Vertical {
+        /// Bytes the vertical index's bitmaps take.
+        bitmap_bytes: usize,
+        /// Mean basket length over the item universe.
+        density: f64,
     },
 }
 
 impl AutoRoute {
-    /// Routes `db`. A database with many distinct baskets costs about
-    /// `budget + 1` basket hashes to route; a collapsed one, one hash
-    /// per transaction.
+    /// Routes `db` from its size and shape: no basket is read.
     pub fn of(db: &TransactionDb) -> AutoRoute {
         let n = db.len();
         if n == 0 {
@@ -161,22 +144,17 @@ impl AutoRoute {
         }
         // Vertical index footprint: one n-bit bitmap per item.
         let bitmap_bytes = (db.n_items() as usize).saturating_mul(n.div_ceil(64) * 8);
-        let avg_len = db.avg_transaction_len();
-        let density = avg_len / f64::from(db.n_items().max(1));
-        if bitmap_bytes > (1 << 30) && density < 0.005 {
-            return AutoRoute::HugeSparse {
+        let density = db.avg_transaction_len() / f64::from(db.n_items().max(1));
+        if bitmap_bytes > HUGE_BITMAP_BYTES && density < SPARSE_DENSITY {
+            AutoRoute::HugeSparse {
                 bitmap_bytes,
                 density,
-            };
-        }
-        if avg_len < FPTREE_MIN_AVG_LEN {
-            return AutoRoute::ShortBaskets { avg_len };
-        }
-        let budget = fptree_profile_budget(n);
-        AutoRoute::Profiles {
-            distinct: db.distinct_transactions_up_to(budget.saturating_add(1)),
-            budget,
-            transactions: n,
+            }
+        } else {
+            AutoRoute::Vertical {
+                bitmap_bytes,
+                density,
+            }
         }
     }
 
@@ -184,11 +162,7 @@ impl AutoRoute {
     pub fn strategy(self) -> CountingStrategy {
         match self {
             AutoRoute::Empty | AutoRoute::HugeSparse { .. } => CountingStrategy::Horizontal,
-            AutoRoute::ShortBaskets { .. } => CountingStrategy::Vertical,
-            AutoRoute::Profiles {
-                distinct, budget, ..
-            } if distinct <= budget => CountingStrategy::FpTree,
-            AutoRoute::Profiles { .. } => CountingStrategy::Vertical,
+            AutoRoute::Vertical { .. } => CountingStrategy::Vertical,
         }
     }
 }
@@ -201,28 +175,17 @@ impl std::fmt::Display for AutoRoute {
             AutoRoute::HugeSparse {
                 bitmap_bytes,
                 density,
+            }
+            | AutoRoute::Vertical {
+                bitmap_bytes,
+                density,
             } => write!(
                 f,
-                "{strategy}: vertical bitmaps would take {} MiB at density {density:.4}",
-                bitmap_bytes >> 20
+                "{strategy}: bitmaps take {} KiB at density {density:.2e} \
+                 (horizontal needs >{} MiB at density <{SPARSE_DENSITY:.2e})",
+                bitmap_bytes.div_ceil(1 << 10),
+                HUGE_BITMAP_BYTES >> 20
             ),
-            AutoRoute::ShortBaskets { avg_len } => write!(
-                f,
-                "{strategy}: mean basket length {avg_len:.1} (fp-tree needs ≥{FPTREE_MIN_AVG_LEN})"
-            ),
-            AutoRoute::Profiles {
-                distinct,
-                budget,
-                transactions,
-            } => {
-                let more = if distinct > budget { ">" } else { "" };
-                write!(
-                    f,
-                    "{strategy}: {more}{} distinct baskets of {transactions} \
-                     (fp-tree needs ≤{budget})",
-                    distinct.min(budget)
-                )
-            }
         }
     }
 }
@@ -238,13 +201,10 @@ impl CountingStrategy {
     /// trailing arguments are ignored; they remain only so existing
     /// callers keep compiling.
     ///
-    /// An empty database, or a huge sparse one, counts horizontally.
-    /// The FP-tree pattern-growth counter, whose cost tracks distinct
-    /// profiles rather than transactions (DESIGN.md §6.4), is picked
-    /// only when baskets are long and actually collapse: at most
-    /// [`fptree_profile_budget`] distinct baskets. Everything else uses
-    /// the vertical index, which dominates horizontal scanning by orders
-    /// of magnitude on the benchmark shapes
+    /// An empty database, or a huge sparse one, counts horizontally;
+    /// everything else uses the vertical index, which dominates
+    /// horizontal scanning by orders of magnitude and beats the FP-tree
+    /// once its build is counted on every benchmark shape
     /// (`results/BENCH_counting.json`).
     pub fn resolve(
         self,
@@ -431,7 +391,8 @@ mod tests {
         let empty = TransactionDb::from_ids(3, Vec::<Vec<u32>>::new());
         let big = TransactionDb::from_ids(4, (0..5000u32).map(|t| vec![t % 4, (t + 1) % 4]));
         let huge = TransactionDb::from_ids(4, (0..70_000u32).map(|t| vec![t % 4, (t + 1) % 4]));
-        // Long baskets collapsing into three profiles: the FP-tree.
+        // Long baskets collapsing into three profiles: still the
+        // vertical index, since the FP-tree's build is not repaid.
         let dense = TransactionDb::from_ids(
             33,
             (0..5000u32).map(|t| (0..16).map(|j| (t % 3) + 2 * j).collect::<Vec<_>>()),
@@ -441,7 +402,7 @@ mod tests {
             (&empty, Horizontal),
             (&big, Vertical),
             (&huge, Vertical),
-            (&dense, FpTree),
+            (&dense, Vertical),
         ] {
             // The thread and shard arguments never change the route.
             for threads in [None, Some(1), Some(2), Some(8)] {
@@ -467,7 +428,8 @@ mod tests {
     fn dense_but_diverse_database_routes_to_vertical() {
         // Dense by every shape proxy — 30 items, long baskets, density
         // ~1/3 — but the baskets hardly repeat, so the tree would hold a
-        // path per basket.
+        // path per basket. The density proxies this route replaced sent
+        // it to the FP-tree.
         let db = TransactionDb::from_ids(
             30,
             (0..5000u32).map(|t| {
@@ -476,111 +438,54 @@ mod tests {
                     .collect::<Vec<_>>()
             }),
         );
-        assert!(db.n_items() <= 512);
+        let density = db.avg_transaction_len() / 30.0;
+        assert!(db.avg_transaction_len() >= 8.0, "{density}");
+        assert!(density >= 0.2, "{density}");
         assert!(
-            db.avg_transaction_len() >= 8.0,
-            "{}",
-            db.avg_transaction_len()
+            db.transactions()
+                .collect::<std::collections::HashSet<_>>()
+                .len()
+                >= 4000
         );
-        assert!(db.avg_transaction_len() / 30.0 >= 0.2);
-        assert!(db.distinct_transactions_up_to(usize::MAX) >= 4000);
         let route = AutoRoute::of(&db);
         assert_eq!(route.strategy(), CountingStrategy::Vertical);
         assert_eq!(
             route,
-            AutoRoute::Profiles {
-                distinct: 10,
-                budget: 9,
-                transactions: 5000
+            AutoRoute::Vertical {
+                bitmap_bytes: 30 * 79 * 8,
+                density
             }
         );
-        assert_eq!(
-            route.to_string(),
-            "vertical: >9 distinct baskets of 5000 (fp-tree needs ≤9)"
-        );
-    }
-
-    /// Long basket number `p` over 30 items: 8 shared items plus `p`'s
-    /// bits over items 8..30, so distinct `p` give distinct baskets.
-    fn profile(p: u32) -> Vec<u32> {
-        (0..8)
-            .chain((0..22).filter(|b| p >> b & 1 == 1).map(|b| 8 + b))
-            .collect()
-    }
-
-    /// `n` transactions cycling through `distinct` profiles.
-    fn profiles_db(n: usize, distinct: u32) -> TransactionDb {
-        TransactionDb::from_ids(30, (0..n).map(|i| profile(i as u32 % distinct)))
     }
 
     #[test]
-    fn profile_budget_boundary() {
-        let n = 40 * 512;
-        let budget = fptree_profile_budget(n);
-        assert_eq!(budget, 40);
-        let at = AutoRoute::of(&profiles_db(n, 40));
-        assert_eq!(at.strategy(), CountingStrategy::FpTree);
-        assert_eq!(
-            at.to_string(),
-            "fp-tree: 40 distinct baskets of 20480 (fp-tree needs ≤40)"
-        );
-        let over = AutoRoute::of(&profiles_db(n, 41));
-        assert_eq!(over.strategy(), CountingStrategy::Vertical);
-        assert_eq!(
-            over.to_string(),
-            "vertical: >40 distinct baskets of 20480 (fp-tree needs ≤40)"
-        );
-        // Short baskets never reach the budget, however few profiles.
-        let short = TransactionDb::from_ids(4, (0..n as u32).map(|t| vec![t % 4, (t + 1) % 4]));
+    fn route_display_names_the_deciding_fact() {
+        let short = TransactionDb::from_ids(4, (0..20_480u32).map(|t| vec![t % 4, (t + 1) % 4]));
         assert_eq!(
             AutoRoute::of(&short).to_string(),
-            "vertical: mean basket length 2.0 (fp-tree needs ≥8)"
+            "vertical: bitmaps take 10 KiB at density 5.00e-1 \
+             (horizontal needs >1024 MiB at density <5.00e-3)"
         );
         assert_eq!(
             AutoRoute::of(&TransactionDb::from_ids(3, Vec::<Vec<u32>>::new())).to_string(),
             "horizontal: the database is empty"
         );
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig {
-            cases: 64,
-            ..proptest::prelude::ProptestConfig::default()
-        })]
-
-        #[test]
-        fn route_ignores_transaction_order(
-            distinct in 1u32..12,
-            blocks in 1usize..5,
-            seed in proptest::prelude::any::<u64>(),
-        ) {
-            // Profiles drawn at random, so some appear more often than
-            // others (and some not at all).
-            let n = blocks * 512;
-            let mut state = seed;
-            let mut next = move || {
-                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-                let z = (state ^ (state >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                z ^ (z >> 31)
-            };
-            let mut txns: Vec<Vec<u32>> = (0..n)
-                .map(|_| profile((next() % u64::from(distinct)) as u32))
-                .collect();
-            let db = TransactionDb::from_ids(30, txns.clone());
-            for i in (1..txns.len()).rev() {
-                txns.swap(i, (next() % (i as u64 + 1)) as usize);
+        // 2^21 items and 8 192 one-item baskets: 2 GiB of bitmaps with
+        // one set bit in 2^21.
+        let huge = TransactionDb::from_ids(1 << 21, (0..8192u32).map(|t| vec![t]));
+        let route = AutoRoute::of(&huge);
+        assert_eq!(
+            route,
+            AutoRoute::HugeSparse {
+                bitmap_bytes: 1 << 31,
+                density: 1.0 / f64::from(1u32 << 21)
             }
-            let permuted = TransactionDb::from_ids(30, txns);
-            let route = AutoRoute::of(&db);
-            proptest::prop_assert_eq!(route, AutoRoute::of(&permuted));
-            let exact = db.transactions().collect::<std::collections::BTreeSet<_>>().len();
-            let expected = if exact <= fptree_profile_budget(n) {
-                CountingStrategy::FpTree
-            } else {
-                CountingStrategy::Vertical
-            };
-            proptest::prop_assert_eq!(route.strategy(), expected);
-        }
+        );
+        assert_eq!(
+            route.to_string(),
+            "horizontal: bitmaps take 2097152 KiB at density 4.77e-7 \
+             (horizontal needs >1024 MiB at density <5.00e-3)"
+        );
     }
 
     #[test]

@@ -31,7 +31,7 @@ use std::sync::Arc;
 
 use crate::guard::{GuardLimits, ResumeInner, ResumeState, RunGuard, RESUME_FORMAT};
 use crate::metrics::MiningMetrics;
-use crate::miner::{Algorithm, AutoRoute, CountingStrategy};
+use crate::miner::{Algorithm, CountingStrategy};
 use crate::naive::run_naive_guarded;
 use crate::persist::{fingerprint_db, CheckpointPolicy, CheckpointRecorder, CheckpointReport};
 use crate::query::{CorrelationQuery, MiningError, MiningResult, Semantics};
@@ -129,9 +129,6 @@ pub struct MineOutcome {
     pub algorithm: Algorithm,
     /// The concrete strategy the run counted with (never `Auto`).
     pub strategy: CountingStrategy,
-    /// When the request asked for `Auto`: how it routed, with the fact
-    /// that decided it.
-    pub route: Option<AutoRoute>,
     /// The durability summary, when the request carried a
     /// [`CheckpointPolicy`]: snapshots committed and the first write
     /// error, if any. Checkpoint I/O failures degrade durability, never
@@ -144,14 +141,11 @@ pub struct MineOutcome {
 ///
 /// The counting substrate is cached between queries (keyed by resolved
 /// strategy), so an interactive loop that re-mines under changing
-/// constraints pays the vertical index or FP-tree build once. The
-/// `Auto` route is memoized too, since the database cannot change
-/// during the session. Statistics are delta-based per run, so reuse
-/// never skews metrics.
+/// constraints pays the vertical index or FP-tree build once.
+/// Statistics are delta-based per run, so reuse never skews metrics.
 pub struct MiningSession<'a> {
     db: &'a TransactionDb,
     attrs: &'a AttributeTable,
-    auto: Option<AutoRoute>,
     counter: Option<CachedCounter<'a>>,
 }
 
@@ -166,7 +160,6 @@ impl<'a> MiningSession<'a> {
         MiningSession {
             db,
             attrs,
-            auto: None,
             counter: None,
         }
     }
@@ -227,10 +220,7 @@ impl<'a> MiningSession<'a> {
         algorithm: Algorithm,
         resume: Option<ResumeInner>,
     ) -> Result<MineOutcome, MiningError> {
-        let db = self.db;
-        let route = (request.strategy == CountingStrategy::Auto)
-            .then(|| *self.auto.get_or_insert_with(|| AutoRoute::of(db)));
-        let strategy = route.map_or(request.strategy, AutoRoute::strategy);
+        let strategy = request.strategy.resolve(self.db, None, None);
         let reusable = matches!(&self.counter, Some(c) if c.strategy == strategy);
         if !reusable {
             self.counter = Some(CachedCounter {
@@ -258,7 +248,6 @@ impl<'a> MiningSession<'a> {
             result,
             algorithm,
             strategy,
-            route,
         })
     }
 }
@@ -385,7 +374,7 @@ fn make_counter<'a>(
         CountingStrategy::Horizontal => Box::new(HorizontalCounter::new(db)),
         CountingStrategy::Vertical => Box::new(VerticalCounter::new(db)),
         CountingStrategy::FpTree => Box::new(FpTreeCounter::new(db)),
-        CountingStrategy::Auto => unreachable!("AutoRoute::strategy never returns Auto"),
+        CountingStrategy::Auto => unreachable!("resolve() never returns Auto"),
     }
 }
 
@@ -449,55 +438,5 @@ pub(crate) fn dispatch(
             guard,
             resume,
         ),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::params::MiningParams;
-    use ccs_constraints::{Constraint, ConstraintSet};
-
-    #[test]
-    fn auto_route_is_resolved_once_per_session() {
-        // Three long profiles repeated: a collapsed database that routes
-        // to the FP-tree, whose distinct-basket scan reads every basket.
-        let db = TransactionDb::from_ids(
-            33,
-            (0..3000u32).map(|t| (0..16).map(|j| (t % 3) + 2 * j).collect::<Vec<_>>()),
-        );
-        let attrs = AttributeTable::with_identity_prices(33);
-        let query = CorrelationQuery {
-            params: MiningParams {
-                support_fraction: 0.1,
-                max_level: 3,
-                ..MiningParams::paper()
-            },
-            constraints: ConstraintSet::new().and(Constraint::max_le("price", 8.0)),
-        };
-        let auto = MineRequest::new(Algorithm::BmsPlusPlus).strategy(CountingStrategy::Auto);
-        let mut session = MiningSession::new(&db, &attrs);
-        assert_eq!(session.auto, None);
-
-        let first = session.mine(&query, &auto).unwrap();
-        assert_eq!(first.route, Some(AutoRoute::of(&db)));
-        assert_eq!(first.strategy, CountingStrategy::FpTree);
-        assert_eq!(session.auto, first.route);
-
-        // A pinned strategy reports no route and leaves the memo alone.
-        let pinned = session
-            .mine(&query, &auto.clone().strategy(CountingStrategy::FpTree))
-            .unwrap();
-        assert_eq!(pinned.route, None);
-        assert_eq!(session.auto, first.route);
-
-        // Plant a different route: the next Auto request follows the
-        // memo, which shows it did not rescan the database.
-        let planted = AutoRoute::ShortBaskets { avg_len: 1.0 };
-        session.auto = Some(planted);
-        let second = session.mine(&query, &auto).unwrap();
-        assert_eq!(second.route, Some(planted));
-        assert_eq!(second.strategy, CountingStrategy::Vertical);
-        assert_eq!(second.result.answers, first.result.answers);
     }
 }

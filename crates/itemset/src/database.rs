@@ -6,8 +6,6 @@
 //! their work in database scans over this layout. A derived vertical layout
 //! (per-item tid-sets) lives in [`crate::vertical`].
 
-use std::collections::HashSet;
-
 use serde::{Deserialize, Serialize};
 
 use crate::item::Item;
@@ -139,22 +137,6 @@ impl TransactionDb {
     pub fn max_transaction_len(&self) -> usize {
         self.transactions.iter().map(|t| t.len()).max().unwrap_or(0)
     }
-
-    /// The number of distinct baskets, counted no further than `cap`:
-    /// returns `min(distinct, cap)`, exactly and whatever the
-    /// transaction order. The scan stops once `cap` distinct baskets
-    /// have been seen, so a diverse database costs about `cap` hashes
-    /// however many transactions it holds.
-    pub fn distinct_transactions_up_to(&self, cap: usize) -> usize {
-        let mut seen: HashSet<&[Item]> = HashSet::with_capacity(cap.min(self.len()));
-        for t in self.transactions() {
-            if seen.len() == cap {
-                break;
-            }
-            seen.insert(t);
-        }
-        seen.len()
-    }
 }
 
 /// `true` iff sorted slice `haystack` contains every element of the sorted
@@ -243,22 +225,6 @@ mod tests {
         assert_eq!(db.support(&Itemset::from_ids([0])), 0);
         assert_eq!(db.relative_support(&Itemset::from_ids([0])), 0.0);
         assert_eq!(db.avg_transaction_len(), 0.0);
-    }
-
-    #[test]
-    fn distinct_transactions_stop_at_the_cap() {
-        // Five baskets, four distinct ({0,1} repeats after sorting).
-        let db = TransactionDb::from_ids(
-            4,
-            vec![vec![0, 1], vec![2], vec![1, 0], vec![3], vec![1, 2, 3]],
-        );
-        assert_eq!(db.distinct_transactions_up_to(usize::MAX), 4);
-        assert_eq!(db.distinct_transactions_up_to(5), 4);
-        assert_eq!(db.distinct_transactions_up_to(4), 4);
-        assert_eq!(db.distinct_transactions_up_to(2), 2);
-        assert_eq!(db.distinct_transactions_up_to(0), 0);
-        let empty = TransactionDb::from_ids(3, Vec::<Vec<u32>>::new());
-        assert_eq!(empty.distinct_transactions_up_to(10), 0);
     }
 
     #[test]

@@ -454,19 +454,24 @@ fn parse_checkpoint(flags: &Flags<'_>) -> Result<Option<CheckpointPolicy>, Strin
     Ok(Some(CheckpointPolicy::file(path, cadence)))
 }
 
-/// The line naming the strategy an `auto` run resolved to and the fact
-/// that decided it; `None` when the command line pinned a strategy.
-fn auto_route_line(outcome: &MineOutcome) -> Option<String> {
-    outcome
-        .route
-        .map(|route| format!("auto counting resolved to {route}"))
+/// The line naming the strategy an `auto` run resolves to on `db` and
+/// the fact that decided it; `None` when the command line pinned a
+/// strategy.
+fn auto_route_line(db: &TransactionDb, requested: CountingStrategy) -> Option<String> {
+    (requested == CountingStrategy::Auto)
+        .then(|| format!("auto counting resolved to {}", AutoRoute::of(db)))
 }
 
-/// Prints the answers and the run summary, returning the process exit
-/// code: 0 for a complete answer set, 2 for a sound truncated one.
-fn emit_outcome(outcome: &MineOutcome, checkpoint_path: Option<&str>) -> Result<ExitCode, String> {
+/// Prints `route_line` (from [`auto_route_line`]), the answers and the
+/// run summary, returning the process exit code: 0 for a complete
+/// answer set, 2 for a sound truncated one.
+fn emit_outcome(
+    outcome: &MineOutcome,
+    route_line: Option<String>,
+    checkpoint_path: Option<&str>,
+) -> Result<ExitCode, String> {
     let result = &outcome.result;
-    if let Some(line) = auto_route_line(outcome) {
+    if let Some(line) = route_line {
         eprintln!("{line}");
     }
     let stdout = io::stdout();
@@ -631,7 +636,7 @@ fn cmd_mine(args: &[String]) -> Result<ExitCode, String> {
     let outcome = MiningSession::new(&db, &attrs)
         .mine(&query, &request)
         .map_err(|e| e.to_string())?;
-    emit_outcome(&outcome, checkpoint_path)
+    emit_outcome(&outcome, auto_route_line(&db, strategy), checkpoint_path)
 }
 
 fn cmd_resume(args: &[String]) -> Result<ExitCode, String> {
@@ -710,7 +715,7 @@ fn cmd_resume(args: &[String]) -> Result<ExitCode, String> {
             let outcome = MiningSession::new(&db, &attrs)
                 .mine(&query, &request)
                 .map_err(|e| e.to_string())?;
-            return emit_outcome(&outcome, Some(path));
+            return emit_outcome(&outcome, auto_route_line(&db, strategy), Some(path));
         }
         Err(e) => return Err(e.to_string()),
     };
@@ -730,7 +735,7 @@ fn cmd_resume(args: &[String]) -> Result<ExitCode, String> {
     let outcome = MiningSession::new(&db, &attrs)
         .resume(&checkpoint.query, &request, checkpoint.resume)
         .map_err(|e| e.to_string())?;
-    emit_outcome(&outcome, Some(path))
+    emit_outcome(&outcome, auto_route_line(&db, strategy), Some(path))
 }
 
 fn cmd_stats(args: &[String]) -> Result<(), String> {
@@ -783,39 +788,33 @@ mod tests {
             },
             constraints: ConstraintSet::new(),
         };
-        let mine = |db: &TransactionDb, strategy| {
-            MiningSession::new(db, &attrs)
-                .mine(
-                    &query,
-                    &MineRequest::new(Algorithm::BmsPlus).strategy(strategy),
-                )
-                .unwrap()
-        };
         // Long basket number `t`: 8 shared items plus `t`'s bits.
         let basket = |t: u32| -> Vec<u32> {
             (0..8)
                 .chain((0..14).filter(|b| t >> b & 1 == 1).map(|b| 8 + b))
                 .collect()
         };
-        // 10 000 distinct baskets: far over the budget.
+        // 10 000 distinct baskets, and the same folded onto 16 profiles:
+        // both count on the vertical index, as the line says.
         let diverse = TransactionDb::from_ids(30, (0..10_000).map(basket));
-        assert_eq!(
-            auto_route_line(&mine(&diverse, CountingStrategy::Auto)).as_deref(),
-            Some(
-                "auto counting resolved to vertical: >19 distinct baskets of 10000 \
-                 (fp-tree needs ≤19)"
-            )
-        );
-        // 10 000 baskets folded onto 16 profiles: under the budget.
         let collapsed = TransactionDb::from_ids(30, (0..10_000).map(|t| basket(t % 16)));
-        assert_eq!(
-            auto_route_line(&mine(&collapsed, CountingStrategy::Auto)).as_deref(),
-            Some("auto counting resolved to fp-tree: 16 distinct baskets of 10000 (fp-tree needs ≤19)")
-        );
+        for (db, density) in [(&diverse, "4.82e-1"), (&collapsed, "3.33e-1")] {
+            assert_eq!(
+                auto_route_line(db, CountingStrategy::Auto),
+                Some(format!(
+                    "auto counting resolved to vertical: bitmaps take 37 KiB at density \
+                     {density} (horizontal needs >1024 MiB at density <5.00e-3)"
+                ))
+            );
+            let outcome = MiningSession::new(db, &attrs)
+                .mine(
+                    &query,
+                    &MineRequest::new(Algorithm::BmsPlus).strategy(CountingStrategy::Auto),
+                )
+                .unwrap();
+            assert_eq!(outcome.strategy, CountingStrategy::Vertical);
+        }
         // A pinned strategy prints no routing line.
-        assert_eq!(
-            auto_route_line(&mine(&diverse, CountingStrategy::Vertical)),
-            None
-        );
+        assert_eq!(auto_route_line(&diverse, CountingStrategy::Vertical), None);
     }
 }
