@@ -107,12 +107,12 @@ const SPARSE_DENSITY: f64 = 0.005;
 /// names the strategy and the fact, as `ccs mine --counting auto`
 /// prints them.
 ///
-/// `Auto` never picks the FP-tree. Its build costs 8–17× the vertical
-/// index's, and in the `fptree_crossover` sweep of `counting_baseline`
-/// (`results/BENCH_counting.json`, DESIGN.md §6.4) build plus one level
-/// batch is slower than on the vertical index at every point, however
-/// few distinct baskets the database holds. `fp-tree` stays an explicit
-/// choice.
+/// `Auto` never picks the FP-tree. Its build costs about ten times the
+/// vertical index's, and in the `fptree_crossover` sweep of
+/// `counting_baseline` (`results/BENCH_counting.json`, DESIGN.md §6.4)
+/// build plus one level batch is slower than on the vertical index at
+/// every point, however few distinct baskets the database holds.
+/// `fp-tree` stays an explicit choice.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AutoRoute {
     /// No transactions: counting does nothing, so horizontal avoids even
@@ -391,8 +391,8 @@ mod tests {
         let empty = TransactionDb::from_ids(3, Vec::<Vec<u32>>::new());
         let big = TransactionDb::from_ids(4, (0..5000u32).map(|t| vec![t % 4, (t + 1) % 4]));
         let huge = TransactionDb::from_ids(4, (0..70_000u32).map(|t| vec![t % 4, (t + 1) % 4]));
-        // Long baskets collapsing into three profiles: still the
-        // vertical index, since the FP-tree's build is not repaid.
+        // Long baskets collapsing into three profiles: the vertical
+        // index too, since the FP-tree's build is not repaid.
         let dense = TransactionDb::from_ids(
             33,
             (0..5000u32).map(|t| (0..16).map(|j| (t % 3) + 2 * j).collect::<Vec<_>>()),
@@ -428,8 +428,7 @@ mod tests {
     fn dense_but_diverse_database_routes_to_vertical() {
         // Dense by every shape proxy — 30 items, long baskets, density
         // ~1/3 — but the baskets hardly repeat, so the tree would hold a
-        // path per basket. The density proxies this route replaced sent
-        // it to the FP-tree.
+        // path per basket.
         let db = TransactionDb::from_ids(
             30,
             (0..5000u32).map(|t| {
